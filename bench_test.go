@@ -226,7 +226,10 @@ func BenchmarkFig9(b *testing.B) {
 
 // BenchmarkFig6 measures the index-computation overhead of the three
 // layouts — the paper's motivation for blocking the Z curve: "Computing
-// indices for Z-Morton layout on the cell-by-cell basis is costly".
+// indices for Z-Morton layout on the cell-by-cell basis is costly". The
+// simulator indexes every layout through per-dimension offset tables, so
+// here the three cost about the same; BenchmarkMatrixWalk measures the walk
+// the workloads actually do.
 func BenchmarkFig6(b *testing.B) {
 	a := memory.NewAllocator(4)
 	for _, tc := range []struct {
@@ -469,6 +472,76 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(int64(i)*10, i%32, int64(i%100000), i%4, i%5 == 0, false)
+	}
+}
+
+// BenchmarkCacheTileStream replays a matmul-style tile pattern into the
+// paper machine's hierarchy through AccessRange: each of the 32 cores in
+// turn reads an A tile and a B tile and writes a C tile, 32x32 float64
+// tiles (8 KiB, 128 lines each) drawn from three 256x256 matrices. Lines
+// are dense from zero, as the simulator's allocator hands them out, and
+// the stream mixes private hits, LLC hits, coherence transfers and DRAM
+// fills. It reports wall time per modelled line.
+func BenchmarkCacheTileStream(b *testing.B) {
+	b.ReportAllocs()
+	top := topology.XeonE5_4620()
+	h := cache.NewHierarchy(top, cache.DefaultGeometry(), cache.DefaultLatency())
+	a := memory.NewAllocator(top.Sockets())
+	const n, tile = 256, 32
+	const tileBytes = tile * tile * 8
+	mats := [3]*memory.Region{}
+	for i := range mats {
+		mats[i] = a.Alloc(fmt.Sprintf("m%d", i), n*n*8, memory.FirstTouch{})
+	}
+	tiles := int64(n * n / (tile * tile))
+	var now, lines int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each core walks every tile, starting at its own place, so
+		// sockets share and overwrite each other's tiles.
+		core := i % top.Cores()
+		t := int64(core)*7 + int64(i/top.Cores())*3
+		for m, write := range []bool{false, false, true} {
+			off := (t + int64(m)*3) % tiles * tileBytes
+			now += h.AccessRange(now, core, mats[m], off, tileBytes, write)
+			lines += tileBytes / memory.LineSize
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines), "ns/line")
+}
+
+// BenchmarkMatrixWalk is the base-case i,j,k walk of a 32x32 tile
+// multiply — the loop shape of matmul's and strassen's base cases —
+// written through Matrix.At, so it measures per-element addressing in
+// each layout on the access pattern the workloads issue.
+func BenchmarkMatrixWalk(b *testing.B) {
+	a := memory.NewAllocator(4)
+	const n, tile = 256, 32
+	for _, tc := range []struct {
+		kind  layout.Kind
+		block int
+	}{{layout.RowMajor, 0}, {layout.Morton, 0}, {layout.BlockedMorton, tile}} {
+		x := layout.NewMatrix(a, "x", n, tc.kind, tc.block, memory.Interleave{})
+		y := layout.NewMatrix(a, "y", n, tc.kind, tc.block, memory.Interleave{})
+		z := layout.NewMatrix(a, "z", n, tc.kind, tc.block, memory.Interleave{})
+		x.FillRandom(1)
+		y.FillRandom(2)
+		b.Run(tc.kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				r0, c0 := (it%8)*tile, ((it/8)%8)*tile
+				for i := 0; i < tile; i++ {
+					for j := 0; j < tile; j++ {
+						s := z.At(r0+i, c0+j)
+						for k := 0; k < tile; k++ {
+							s += x.At(r0+i, c0+k) * y.At(r0+k, c0+j)
+						}
+						z.Set(r0+i, c0+j, s)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tile*tile*tile), "ns/madd")
+		})
 	}
 }
 

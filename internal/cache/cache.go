@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memory"
 	"repro/internal/topology"
@@ -177,6 +178,7 @@ func (s *Stats) Add(other *Stats) {
 // modelled cache line).
 type setAssoc struct {
 	sets int
+	mask int64 // sets-1 when sets is a power of two (set index by masking), else -1
 	ways int
 	tag  []int64  // sets*ways entries; -1 = invalid
 	use  []uint64 // LRU timestamps, parallel to tag
@@ -194,9 +196,13 @@ func newSetAssoc(bytes, ways int) *setAssoc {
 	}
 	c := &setAssoc{
 		sets: sets,
+		mask: -1,
 		ways: ways,
 		tag:  make([]int64, sets*ways),
 		use:  make([]uint64, sets*ways),
+	}
+	if sets&(sets-1) == 0 {
+		c.mask = int64(sets - 1)
 	}
 	for i := range c.tag {
 		c.tag[i] = -1
@@ -204,9 +210,17 @@ func newSetAssoc(bytes, ways int) *setAssoc {
 	return c
 }
 
+// base returns the index of the first way of line's set.
+func (c *setAssoc) base(line int64) int {
+	if c.mask >= 0 {
+		return int(line&c.mask) * c.ways
+	}
+	return int(line%int64(c.sets)) * c.ways
+}
+
 // lookup reports whether line is present, refreshing its LRU position.
 func (c *setAssoc) lookup(line int64) bool {
-	base := int(line%int64(c.sets)) * c.ways
+	base := c.base(line)
 	for w := 0; w < c.ways; w++ {
 		if c.tag[base+w] == line {
 			c.tick++
@@ -220,7 +234,7 @@ func (c *setAssoc) lookup(line int64) bool {
 // insert places line in its set, evicting the LRU way if needed, and
 // returns the evicted line or -1.
 func (c *setAssoc) insert(line int64) (evicted int64) {
-	base := int(line%int64(c.sets)) * c.ways
+	base := c.base(line)
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		i := base + w
@@ -246,7 +260,7 @@ func (c *setAssoc) insert(line int64) (evicted int64) {
 
 // invalidate removes line if present and reports whether it was.
 func (c *setAssoc) invalidate(line int64) bool {
-	base := int(line%int64(c.sets)) * c.ways
+	base := c.base(line)
 	for w := 0; w < c.ways; w++ {
 		if c.tag[base+w] == line {
 			c.tag[base+w] = -1
@@ -318,17 +332,16 @@ func (b bitset) onlyKeep(i int) {
 
 func bitsetWords(n int) int { return (n + 63) / 64 }
 
-// lineInfo is the coherence directory entry for one line: which private
-// caches and which LLCs currently hold it. On machines up to 64 cores and
-// 64 sockets — every preset, and the paper's machine — the bitsets alias
-// the inline backing array, so an entry is still a single allocation with
-// no extra pointer chase; only bigger machines spill to a heap-allocated
-// word slice.
+// lineInfo is a view of the coherence directory entry for one line: which
+// private caches and which LLCs currently hold it. Both bitsets alias the
+// entry's words in its directory chunk.
 type lineInfo struct {
-	priv   bitset // over cores
-	llc    bitset // over sockets
-	inline [2]uint64
+	priv bitset // over cores
+	llc  bitset // over sockets
 }
+
+// dirChunkBits sizes the directory's pages: 1<<dirChunkBits lines each.
+const dirChunkBits = 12
 
 // Hierarchy is the full machine cache model.
 type Hierarchy struct {
@@ -337,15 +350,12 @@ type Hierarchy struct {
 	lat  Latency
 	priv []*setAssoc // indexed by core
 	llc  []*setAssoc // indexed by socket
-	dir  map[int64]*lineInfo
-	// Directory entries are carved out of block allocations: entries are
-	// the simulator's dominant allocation count, and handing them out from
-	// a block turns ~256 allocations into one. The blocks are kept and the
-	// cursor rewound on Reset, so a reused hierarchy re-hands the same
-	// memory instead of allocating fresh blocks every run.
-	slabs   [][]lineInfo
-	slabI   int // block the cursor is in
-	slabOff int // next free entry within that block
+	// dir is the coherence directory, paged by line: each entry is pw
+	// private-cache words then lw LLC words, all zero when untracked.
+	// Chunks are allocated on first touch, hold no pointers (the GC never
+	// scans them), and are zeroed and kept by Reset.
+	dir    [][]uint64
+	pw, lw int
 	// perCore statistics, indexed by core.
 	perCore []Stats
 	// Congestion tracking: per socket, line-fill counts per virtual-time
@@ -374,7 +384,8 @@ func NewHierarchy(top *topology.Topology, geo Geometry, lat Latency) *Hierarchy 
 		lat:        lat,
 		priv:       make([]*setAssoc, top.Cores()),
 		llc:        make([]*setAssoc, top.Sockets()),
-		dir:        make(map[int64]*lineInfo),
+		pw:         bitsetWords(top.Cores()),
+		lw:         bitsetWords(top.Sockets()),
 		perCore:    make([]Stats, top.Cores()),
 		epochCount: make([][congestionRing]int64, top.Sockets()),
 		epochTag:   make([][congestionRing]int64, top.Sockets()),
@@ -408,8 +419,9 @@ func (h *Hierarchy) Reset() {
 	for _, c := range h.llc {
 		c.reset()
 	}
-	clear(h.dir)
-	h.slabI, h.slabOff = 0, 0
+	for _, ch := range h.dir {
+		clear(ch)
+	}
 	clear(h.perCore)
 	for i := range h.epochCount {
 		h.epochCount[i] = [congestionRing]int64{}
@@ -433,67 +445,41 @@ func (h *Hierarchy) TotalStats() Stats {
 	return t
 }
 
-func (h *Hierarchy) info(line int64) *lineInfo {
-	li := h.dir[line]
-	if li == nil {
-		// Entries come from the slab; use the inline backing when the
-		// machine fits, and carve both spilled bitsets out of one
-		// allocation when it does not.
-		if h.slabI == len(h.slabs) {
-			h.slabs = append(h.slabs, make([]lineInfo, 256))
-		}
-		li = &h.slabs[h.slabI][h.slabOff]
-		if h.slabOff++; h.slabOff == len(h.slabs[h.slabI]) {
-			h.slabI++
-			h.slabOff = 0
-		}
-		*li = lineInfo{} // may hold stale bits from before a Reset
-		pw, lw := bitsetWords(h.top.Cores()), bitsetWords(h.top.Sockets())
-		if pw == 1 && lw == 1 {
-			li.priv = li.inline[:1]
-			li.llc = li.inline[1:2]
-		} else {
-			words := make([]uint64, pw+lw)
-			li.priv = words[:pw]
-			li.llc = words[pw:]
-		}
-		h.dir[line] = li
+// info returns the directory entry for line, allocating its chunk on first
+// touch.
+func (h *Hierarchy) info(line int64) lineInfo {
+	ci := int(line >> dirChunkBits)
+	if ci >= len(h.dir) {
+		h.dir = slices.Grow(h.dir, ci+1-len(h.dir))[:ci+1]
 	}
-	return li
-}
-
-func (h *Hierarchy) dropIfEmpty(line int64, li *lineInfo) {
-	if !li.priv.any() && !li.llc.any() {
-		delete(h.dir, line)
+	w := h.pw + h.lw
+	ch := h.dir[ci]
+	if ch == nil {
+		ch = make([]uint64, w<<dirChunkBits)
+		h.dir[ci] = ch
 	}
+	e := ch[int(line&(1<<dirChunkBits-1))*w:][:w]
+	return lineInfo{priv: e[:h.pw:h.pw], llc: e[h.pw:]}
 }
 
 // evictFromPrivate records that core's private cache dropped line.
 func (h *Hierarchy) evictFromPrivate(core int, line int64) {
-	if line < 0 {
-		return
-	}
-	if li, ok := h.dir[line]; ok {
-		li.priv.clear(core)
-		h.dropIfEmpty(line, li)
+	if line >= 0 {
+		h.info(line).priv.clear(core)
 	}
 }
 
 // evictFromLLC records that socket's LLC dropped line (non-inclusive: lines
 // may remain in private caches).
 func (h *Hierarchy) evictFromLLC(socket int, line int64) {
-	if line < 0 {
-		return
-	}
-	if li, ok := h.dir[line]; ok {
-		li.llc.clear(socket)
-		h.dropIfEmpty(line, li)
+	if line >= 0 {
+		h.info(line).llc.clear(socket)
 	}
 }
 
 // nearestHolder returns the hop distance to the closest socket other than
 // from whose LLC or private caches hold the line, or -1 if none.
-func (h *Hierarchy) nearestHolder(from int, li *lineInfo) int {
+func (h *Hierarchy) nearestHolder(from int, li lineInfo) int {
 	best := -1
 	for s := 0; s < h.top.Sockets(); s++ {
 		if s == from {
@@ -521,11 +507,8 @@ func (h *Hierarchy) nearestHolder(from int, li *lineInfo) int {
 
 // invalidateOthers removes the line from every cache except core's own
 // private cache and reports whether any copy existed elsewhere.
-func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
-	li, ok := h.dir[line]
-	if !ok {
-		return false
-	}
+func (h *Hierarchy) invalidateOthers(core, mySock int, line int64) bool {
+	li := h.info(line)
 	any := false
 	if li.priv.anyExcept(core) {
 		for c := 0; c < h.top.Cores(); c++ {
@@ -536,7 +519,6 @@ func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
 		}
 		li.priv.onlyKeep(core)
 	}
-	mySock := h.top.SocketOf(core)
 	if li.llc.anyExcept(mySock) {
 		for s := 0; s < h.top.Sockets(); s++ {
 			if s != mySock && li.llc.get(s) {
@@ -546,7 +528,6 @@ func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
 		}
 		li.llc.onlyKeep(mySock)
 	}
-	h.dropIfEmpty(line, li)
 	return any
 }
 
@@ -557,12 +538,14 @@ func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
 // eligible for the prefetch discount on DRAM fills. It returns the cycle
 // cost and where the access was serviced.
 func (h *Hierarchy) Access(now int64, core int, line int64, home int, write, streaming bool) (int64, Kind) {
-	socket := h.top.SocketOf(core)
+	return h.access(now, core, h.top.SocketOf(core), line, home, write, streaming)
+}
+
+// access is Access with the core's socket already resolved.
+func (h *Hierarchy) access(now int64, core, socket int, line int64, home int, write, streaming bool) (int64, Kind) {
 	cost, kind := h.service(now, core, socket, line, home, streaming)
-	if write {
-		if h.invalidateOthers(core, line) {
-			cost += h.lat.WriteInvalidate
-		}
+	if write && h.invalidateOthers(core, socket, line) {
+		cost += h.lat.WriteInvalidate
 	}
 	st := &h.perCore[core]
 	st.Count[kind]++
@@ -685,7 +668,7 @@ func (h *Hierarchy) AccessRange(now int64, core int, r *memory.Region, off, n in
 		}
 		home := r.TouchFrom(lineOff, socket)
 		streaming := line != firstLine && line%(memory.PageSize/memory.LineSize) != 0
-		c, _ := h.Access(now+total, core, line, home, write, streaming)
+		c, _ := h.access(now+total, core, socket, line, home, write, streaming)
 		total += c
 	}
 	return total
@@ -716,4 +699,14 @@ func (h *Hierarchy) FlushCore(core int) {
 
 // DirectorySize reports the number of tracked lines (bounded by total cache
 // capacity; used by tests to check the directory does not leak).
-func (h *Hierarchy) DirectorySize() int { return len(h.dir) }
+func (h *Hierarchy) DirectorySize() int {
+	n, w := 0, h.pw+h.lw
+	for _, ch := range h.dir {
+		for e := 0; e < len(ch); e += w {
+			if bitset(ch[e : e+w]).any() {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -37,7 +37,7 @@ type Config struct {
 // previous run on the same machine shape. See sched.Arena for the
 // scheduler half; the core half pools the per-frame task records and the
 // cache-hierarchy model (the largest per-run construction: per-core private
-// caches, per-socket LLCs, and the coherence directory's entry slabs).
+// caches, per-socket LLCs, and the coherence directory's chunks).
 type Arena struct {
 	sched *sched.Arena
 	tasks []*simTask

@@ -13,6 +13,7 @@ package layout
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/memory"
 )
@@ -87,6 +88,7 @@ type Matrix struct {
 	Kind  Kind
 	Data  []float64
 	R     *memory.Region
+	indexTables
 }
 
 // NewMatrix allocates an n x n matrix with the given layout. For
@@ -110,37 +112,72 @@ func NewMatrix(a *memory.Allocator, name string, n int, kind Kind, block int, po
 		block = 0
 	}
 	return &Matrix{
-		N:     n,
-		Block: block,
-		Kind:  kind,
-		Data:  make([]float64, n*n),
-		R:     a.Alloc(name, int64(n)*int64(n)*8, pol),
+		N:           n,
+		Block:       block,
+		Kind:        kind,
+		Data:        make([]float64, n*n),
+		R:           a.Alloc(name, int64(n)*int64(n)*8, pol),
+		indexTables: tablesFor(n, kind, block),
 	}
+}
+
+// indexTables split a layout's index as rowOff[r] + colOff[c]. Under Morton
+// spread(c) and spread(r)<<1 have disjoint bits, so their OR is a sum;
+// blocked Morton scales that sum by b*b and adds the in-block offset.
+type indexTables struct{ rowOff, colOff []int }
+
+// tableMemo shares tables between matrices of one shape (a run builds many,
+// e.g. strassen's temporaries). Entries depend only on their key and are
+// never written, so sharing carries no state between runs.
+var tableMemo = struct {
+	sync.Mutex
+	m map[[3]int]indexTables
+}{m: map[[3]int]indexTables{}}
+
+// tablesFor returns the index tables of an n x n matrix in a layout.
+func tablesFor(n int, kind Kind, block int) indexTables {
+	tableMemo.Lock()
+	defer tableMemo.Unlock()
+	key := [3]int{n, int(kind), block}
+	if t, ok := tableMemo.m[key]; ok {
+		return t
+	}
+	buf := make([]int, 2*n)
+	t := indexTables{rowOff: buf[:n:n], colOff: buf[n:]}
+	for i := 0; i < n; i++ {
+		switch kind {
+		case Morton:
+			t.rowOff[i] = int(spread(uint32(i)) << 1)
+			t.colOff[i] = int(spread(uint32(i)))
+		case BlockedMorton:
+			t.rowOff[i] = int(spread(uint32(i/block))<<1)*block*block + (i%block)*block
+			t.colOff[i] = int(spread(uint32(i/block)))*block*block + i%block
+		default:
+			t.rowOff[i] = i * n
+			t.colOff[i] = i
+		}
+	}
+	tableMemo.m[key] = t
+	return t
 }
 
 // Rebind re-registers the matrix's region with a fresh allocator, keeping
 // its data and layout. Pooled workloads call it during Prepare to carry a
 // constructed matrix into a new run: regions hold run-scoped first-touch
-// state, so each run needs its own, but the expensive part — the data and
-// its layout — is layout-validated once and reused.
+// state, so each run needs its own, but the expensive part — the data, its
+// layout and its index tables — is built once and reused.
 func (m *Matrix) Rebind(a *memory.Allocator, name string, pol memory.Policy) {
 	m.R = a.Alloc(name, int64(m.N)*int64(m.N)*8, pol)
 }
 
 // Index maps (row, col) to the linear element index under the matrix's
-// layout.
-func (m *Matrix) Index(row, col int) int {
-	switch m.Kind {
-	case Morton:
-		return int(MortonIndex(row, col))
-	case BlockedMorton:
-		b := m.Block
-		blockIdx := MortonIndex(row/b, col/b)
-		return int(blockIdx)*b*b + (row%b)*b + (col % b)
-	default:
-		return row*m.N + col
-	}
-}
+// layout. A row or column outside [0, N) panics instead of aliasing
+// another element.
+func (m *Matrix) Index(row, col int) int { return m.rowOff[row] + m.colOff[col] }
+
+// Offsets returns the index tables, Index(r, c) == rowOff[r] + colOff[c],
+// for loops that hoist addressing. They are shared: never write them.
+func (m *Matrix) Offsets() (rowOff, colOff []int) { return m.rowOff, m.colOff }
 
 // At reads element (row, col).
 func (m *Matrix) At(row, col int) float64 { return m.Data[m.Index(row, col)] }
@@ -233,7 +270,7 @@ func Equal(a, b *Matrix, eps float64) bool {
 // Grid renders the linear indices of an n x n matrix under the given layout
 // as rows of numbers — the format of the paper's Fig. 6 tables.
 func Grid(n int, kind Kind, block int) string {
-	m := Matrix{N: n, Block: block, Kind: kind}
+	m := Matrix{N: n, Block: block, Kind: kind, indexTables: tablesFor(n, kind, block)}
 	var b strings.Builder
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {

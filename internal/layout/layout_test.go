@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,5 +251,116 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(9).String(), "9") {
 		t.Error("unknown kind should include its number")
+	}
+}
+
+// closedFormIndex is the per-element index formula the offset tables
+// replace: the Morton bit interleave, the blocked form that scales the
+// block's Morton index by b*b and adds the row-major in-block offset, and
+// row*N+col. It is the oracle the tables are checked against.
+func closedFormIndex(m *Matrix, row, col int) int {
+	switch m.Kind {
+	case Morton:
+		return int(MortonIndex(row, col))
+	case BlockedMorton:
+		b := m.Block
+		return int(MortonIndex(row/b, col/b))*b*b + (row%b)*b + col%b
+	default:
+		return row*m.N + col
+	}
+}
+
+// layoutCases lists every legal (kind, block) for side n: row-major,
+// cell Morton, and blocked Morton with every power-of-two block.
+func layoutCases(n int) []struct {
+	kind  Kind
+	block int
+} {
+	cases := []struct {
+		kind  Kind
+		block int
+	}{{RowMajor, 0}, {Morton, 0}}
+	for b := 1; b <= n; b *= 2 {
+		cases = append(cases, struct {
+			kind  Kind
+			block int
+		}{BlockedMorton, b})
+	}
+	return cases
+}
+
+// TestOffsetTablesMatchClosedForm checks the separable index tables
+// against the closed-form oracle for every kind, every power-of-two side
+// up to 256 and every legal block, on fresh and on Rebind-ed matrices.
+func TestOffsetTablesMatchClosedForm(t *testing.T) {
+	a := memory.NewAllocator(4)
+	for n := 1; n <= 256; n *= 2 {
+		for _, tc := range layoutCases(n) {
+			m := NewMatrix(a, "m", n, tc.kind, tc.block, memory.Interleave{})
+			for pass := 0; pass < 2; pass++ {
+				for r := 0; r < n; r++ {
+					for c := 0; c < n; c++ {
+						if got, want := m.Index(r, c), closedFormIndex(m, r, c); got != want {
+							t.Fatalf("n=%d %v block %d pass %d: Index(%d,%d) = %d, want %d",
+								n, tc.kind, tc.block, pass, r, c, got, want)
+						}
+					}
+				}
+				// A pooled matrix carried into a new run must index the same.
+				m.Rebind(memory.NewAllocator(4), "m", memory.FirstTouch{})
+			}
+		}
+	}
+}
+
+// TestGridMatchesClosedForm pins the Fig. 6 renderer to the oracle at
+// more sizes than the two paper tables.
+func TestGridMatchesClosedForm(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		for _, tc := range layoutCases(n) {
+			m := Matrix{N: n, Block: tc.block, Kind: tc.kind}
+			var want strings.Builder
+			for r := 0; r < n; r++ {
+				for c := 0; c < n; c++ {
+					if c > 0 {
+						want.WriteByte(' ')
+					}
+					fmt.Fprintf(&want, "%2d", closedFormIndex(&m, r, c))
+				}
+				want.WriteByte('\n')
+			}
+			if got := Grid(n, tc.kind, tc.block); got != want.String() {
+				t.Errorf("Grid(%d, %v, %d):\ngot:\n%s\nwant:\n%s", n, tc.kind, tc.block, got, want.String())
+			}
+		}
+	}
+}
+
+// TestOutOfRangePanics: an index outside [0, N) in either dimension must
+// fail instead of aliasing another element (row-major At(r, N) used to
+// return element (r+1, 0)).
+func TestOutOfRangePanics(t *testing.T) {
+	a := memory.NewAllocator(2)
+	const n = 8
+	for _, tc := range []struct {
+		kind  Kind
+		block int
+	}{{RowMajor, 0}, {Morton, 0}, {BlockedMorton, 4}} {
+		m := NewMatrix(a, tc.kind.String(), n, tc.kind, tc.block, memory.Interleave{})
+		for _, rc := range [][2]int{{2, n}, {n, 2}, {-1, 0}, {0, -1}} {
+			for op, f := range map[string]func(){
+				"At":  func() { m.At(rc[0], rc[1]) },
+				"Set": func() { m.Set(rc[0], rc[1], 1) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%v: %s(%d,%d) did not panic", tc.kind, op, rc[0], rc[1])
+						}
+					}()
+					f()
+				}()
+			}
+		}
 	}
 }

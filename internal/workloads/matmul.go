@@ -126,17 +126,30 @@ func (m *Matmul) baseMul(ctx core.Context, cr, cc, ar, ac, br, bc, n int) {
 	chargeTile(ctx, m.a, ar, ac, n, false)
 	chargeTile(ctx, m.b, br, bc, n, false)
 	chargeTile(ctx, m.c, cr, cc, n, false)
+	aRow, aCol := tile(m.a, ar, ac, n)
+	bRow, bCol := tile(m.b, br, bc, n)
+	cRow, cCol := tile(m.c, cr, cc, n)
+	a, b, c := m.a.Data, m.b.Data, m.c.Data
 	for i := 0; i < n; i++ {
+		ra, rc := aRow[i], cRow[i]
 		for j := 0; j < n; j++ {
-			s := m.c.At(cr+i, cc+j)
-			for k := 0; k < n; k++ {
-				s += m.a.At(ar+i, ac+k) * m.b.At(br+k, bc+j)
+			cb := bCol[j]
+			s := c[rc+cCol[j]]
+			for k, ca := range aCol {
+				s += a[ra+ca] * b[bRow[k]+cb]
 			}
-			m.c.Set(cr+i, cc+j, s)
+			c[rc+cCol[j]] = s
 		}
 	}
 	chargeTile(ctx, m.c, cr, cc, n, true)
 	ctx.Compute(int64(n) * int64(n) * int64(n))
+}
+
+// tile returns the index tables of mat's n x n tile at (r, c): element
+// (r+i, c+j) is mat.Data[rows[i]+cols[j]].
+func tile(mat *layout.Matrix, r, c, n int) (rows, cols []int) {
+	rowOff, colOff := mat.Offsets()
+	return rowOff[r : r+n], colOff[c : c+n]
 }
 
 // chargeTile charges one access to the n x n tile at (r, c): a single

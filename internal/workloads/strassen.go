@@ -367,16 +367,22 @@ func (s *Strassen) baseMul(ctx core.Context, c, a, b view, acc bool) {
 	n := c.n
 	chargeTile(ctx, a.m, a.r0, a.c0, n, false)
 	chargeTile(ctx, b.m, b.r0, b.c0, n, false)
+	aRow, aCol := tile(a.m, a.r0, a.c0, n)
+	bRow, bCol := tile(b.m, b.r0, b.c0, n)
+	cRow, cCol := tile(c.m, c.r0, c.c0, n)
+	ad, bd, cd := a.m.Data, b.m.Data, c.m.Data
 	for i := 0; i < n; i++ {
+		ra, rc := aRow[i], cRow[i]
 		for j := 0; j < n; j++ {
+			cb := bCol[j]
 			v := 0.0
 			if acc {
-				v = c.at(i, j)
+				v = cd[rc+cCol[j]]
 			}
-			for k := 0; k < n; k++ {
-				v += a.at(i, k) * b.at(k, j)
+			for k, ca := range aCol {
+				v += ad[ra+ca] * bd[bRow[k]+cb]
 			}
-			c.set(i, j, v)
+			cd[rc+cCol[j]] = v
 		}
 	}
 	chargeTile(ctx, c.m, c.r0, c.c0, n, true)
