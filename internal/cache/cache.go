@@ -177,32 +177,30 @@ func (s *Stats) Add(other *Stats) {
 // implemented with flat arrays for speed (the simulator touches it for every
 // modelled cache line).
 type setAssoc struct {
-	sets int
-	mask int64 // sets-1 when sets is a power of two (set index by masking), else -1
+	mask int64 // sets-1; the set count is a power of two, so line&mask picks the set
 	ways int
 	tag  []int64  // sets*ways entries; -1 = invalid
 	use  []uint64 // LRU timestamps, parallel to tag
 	tick uint64
 }
 
+// newSetAssoc builds a cache of bytes capacity and ways associativity. The
+// resulting set count must be a power of two (it is for every geometry the
+// simulator models), so a set is chosen by masking rather than dividing.
 func newSetAssoc(bytes, ways int) *setAssoc {
 	lines := bytes / memory.LineSize
 	if lines < ways {
 		lines = ways
 	}
 	sets := lines / ways
-	if sets < 1 {
-		sets = 1
+	if sets < 1 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d bytes in %d ways gives %d sets, want a power of two", bytes, ways, sets))
 	}
 	c := &setAssoc{
-		sets: sets,
-		mask: -1,
+		mask: int64(sets - 1),
 		ways: ways,
 		tag:  make([]int64, sets*ways),
 		use:  make([]uint64, sets*ways),
-	}
-	if sets&(sets-1) == 0 {
-		c.mask = int64(sets - 1)
 	}
 	for i := range c.tag {
 		c.tag[i] = -1
@@ -211,12 +209,7 @@ func newSetAssoc(bytes, ways int) *setAssoc {
 }
 
 // base returns the index of the first way of line's set.
-func (c *setAssoc) base(line int64) int {
-	if c.mask >= 0 {
-		return int(line&c.mask) * c.ways
-	}
-	return int(line%int64(c.sets)) * c.ways
-}
+func (c *setAssoc) base(line int64) int { return int(line&c.mask) * c.ways }
 
 // lookup reports whether line is present, refreshing its LRU position.
 func (c *setAssoc) lookup(line int64) bool {
@@ -340,7 +333,10 @@ type lineInfo struct {
 	llc  bitset // over sockets
 }
 
-// dirChunkBits sizes the directory's pages: 1<<dirChunkBits lines each.
+// dirChunkBits sizes the directory's pages: 1<<dirChunkBits lines each. A
+// page, once touched, stays allocated (Reset zeroes it), so the directory
+// holds (pw+lw)*8 bytes for every line of every touched page: its memory
+// follows the simulated address range a run touches, not cache capacity.
 const dirChunkBits = 12
 
 // Hierarchy is the full machine cache model.
@@ -697,8 +693,10 @@ func (h *Hierarchy) FlushCore(core int) {
 	c.flush()
 }
 
-// DirectorySize reports the number of tracked lines (bounded by total cache
-// capacity; used by tests to check the directory does not leak).
+// DirectorySize reports the number of tracked lines: those held by some
+// private cache or LLC, so it is bounded by total cache capacity. It counts
+// non-zero entries, not memory; the directory's chunks stay allocated for
+// every 4096-line page the run has touched (see dirChunkBits).
 func (h *Hierarchy) DirectorySize() int {
 	n, w := 0, h.pw+h.lw
 	for _, ch := range h.dir {

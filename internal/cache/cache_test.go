@@ -172,8 +172,8 @@ func TestWriteWithoutSharersHasNoPenalty(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// Tiny cache: 2 lines, 2 ways, 1 set.
 	c := newSetAssoc(2*memory.LineSize, 2)
-	if c.sets != 1 || c.ways != 2 {
-		t.Fatalf("geometry = %d sets x %d ways, want 1x2", c.sets, c.ways)
+	if c.mask != 0 || c.ways != 2 {
+		t.Fatalf("geometry = %d sets x %d ways, want 1x2", c.mask+1, c.ways)
 	}
 	c.insert(1)
 	c.insert(2)

@@ -156,3 +156,93 @@ func TestDirectoryInvariant(t *testing.T) {
 		})
 	}
 }
+
+// TestDirectoryMemoryFollowsTouchedPages bounds the directory's memory by
+// the address range a stream touches: one chunk of 4096 entries per touched
+// page and nothing for untouched pages between them, (pw+lw) words per
+// entry, and a Reset-and-replay that reuses every chunk without allocating
+// another. The entry widths are the per-line overhead: 16 bytes per 64-byte
+// line on the paper machine, 40 on the 192-core ring.
+func TestDirectoryMemoryFollowsTouchedPages(t *testing.T) {
+	geo := Geometry{PrivateBytes: 2 << 10, PrivateWays: 2, LLCBytes: 8 << 10, LLCWays: 4}
+	for _, tc := range []struct {
+		name  string
+		top   *topology.Topology
+		words int
+	}{
+		{"paper-4x8", topology.XeonE5_4620(), 2},
+		{"ring-96x2", topology.Ring(96, 2), 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sparseStream(tc.top, 40000, 5)
+			pages := map[int64]bool{}
+			var maxPage int64
+			for _, a := range s {
+				if !a.flushOnly {
+					pages[a.line>>dirChunkBits] = true
+					maxPage = max(maxPage, a.line>>dirChunkBits)
+				}
+			}
+			h := NewHierarchy(tc.top, geo, DefaultLatency())
+			if w := h.pw + h.lw; w != tc.words {
+				t.Fatalf("entry width = %d words, want %d", w, tc.words)
+			}
+			replay(h, s, nil)
+			chunks := func() map[*uint64]int {
+				held := map[*uint64]int{}
+				for _, ch := range h.dir {
+					if ch != nil {
+						held[&ch[0]] = cap(ch)
+					}
+				}
+				return held
+			}
+			held := chunks()
+			if len(held) != len(pages) {
+				t.Fatalf("%d chunks allocated, want one per touched page (%d)", len(held), len(pages))
+			}
+			for _, c := range held {
+				if c != tc.words<<dirChunkBits {
+					t.Fatalf("chunk holds %d words, want %d", c, tc.words<<dirChunkBits)
+				}
+			}
+			if n := int64(len(h.dir)); n != maxPage+1 {
+				t.Fatalf("chunk index has %d slots, want %d (highest touched page + 1)", n, maxPage+1)
+			}
+
+			h.Reset()
+			replay(h, s, nil)
+			again := chunks()
+			if len(again) != len(held) {
+				t.Fatalf("after Reset and replay: %d chunks, want the same %d", len(again), len(held))
+			}
+			for p := range again {
+				if _, ok := held[p]; !ok {
+					t.Fatal("Reset and replay allocated a new chunk instead of reusing one")
+				}
+			}
+		})
+	}
+}
+
+// TestSetCountMustBePowerOfTwo: sets are picked by masking, so a geometry
+// with any other set count is refused at construction.
+func TestSetCountMustBePowerOfTwo(t *testing.T) {
+	for _, tc := range []struct{ bytes, ways int }{
+		{3 * 64, 1},    // 3 sets
+		{12 << 10, 8},  // 24 sets
+		{48 << 10, 16}, // 48 sets
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("newSetAssoc(%d, %d) did not panic", tc.bytes, tc.ways)
+				}
+			}()
+			newSetAssoc(tc.bytes, tc.ways)
+		}()
+	}
+	if c := newSetAssoc(64<<10, 8); c.mask != 127 {
+		t.Errorf("64 KiB in 8 ways: mask = %d, want 127", c.mask)
+	}
+}

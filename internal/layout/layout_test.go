@@ -270,31 +270,40 @@ func closedFormIndex(m *Matrix, row, col int) int {
 	}
 }
 
-// layoutCases lists every legal (kind, block) for side n: row-major,
-// cell Morton, and blocked Morton with every power-of-two block.
+// layoutCases lists every legal (kind, block) for side n: row-major, cell
+// Morton when n is a power of two, and blocked Morton with every block b
+// that divides n into a power-of-two grid (e.g. n=24 with b=3, 6, 12, 24).
 func layoutCases(n int) []struct {
 	kind  Kind
 	block int
 } {
-	cases := []struct {
+	type layoutCase = struct {
 		kind  Kind
 		block int
-	}{{RowMajor, 0}, {Morton, 0}}
-	for b := 1; b <= n; b *= 2 {
-		cases = append(cases, struct {
-			kind  Kind
-			block int
-		}{BlockedMorton, b})
+	}
+	cases := []layoutCase{{RowMajor, 0}}
+	if n&(n-1) == 0 {
+		cases = append(cases, layoutCase{Morton, 0})
+	}
+	for b := 1; b <= n; b++ {
+		if g := n / b; n%b == 0 && g&(g-1) == 0 {
+			cases = append(cases, layoutCase{BlockedMorton, b})
+		}
 	}
 	return cases
 }
 
+// testSides are the matrix sides the oracle tests cover: every power of
+// two up to 256, and sides whose blocked layouts take non-power-of-two
+// blocks.
+var testSides = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 3, 12, 24, 48, 96, 160}
+
 // TestOffsetTablesMatchClosedForm checks the separable index tables
-// against the closed-form oracle for every kind, every power-of-two side
-// up to 256 and every legal block, on fresh and on Rebind-ed matrices.
+// against the closed-form oracle for every kind, every side in testSides
+// and every legal block, on fresh and on Rebind-ed matrices.
 func TestOffsetTablesMatchClosedForm(t *testing.T) {
 	a := memory.NewAllocator(4)
-	for n := 1; n <= 256; n *= 2 {
+	for _, n := range testSides {
 		for _, tc := range layoutCases(n) {
 			m := NewMatrix(a, "m", n, tc.kind, tc.block, memory.Interleave{})
 			for pass := 0; pass < 2; pass++ {
@@ -316,7 +325,7 @@ func TestOffsetTablesMatchClosedForm(t *testing.T) {
 // TestGridMatchesClosedForm pins the Fig. 6 renderer to the oracle at
 // more sizes than the two paper tables.
 func TestGridMatchesClosedForm(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16} {
+	for _, n := range []int{1, 2, 4, 8, 16, 3, 12} {
 		for _, tc := range layoutCases(n) {
 			m := Matrix{N: n, Block: tc.block, Kind: tc.kind}
 			var want strings.Builder
