@@ -118,20 +118,67 @@ func checkDirectory(t *testing.T, h *Hierarchy, step int) {
 	}
 }
 
+// dirChunks returns the directory's allocated chunks, keyed by their first
+// word, with each chunk's capacity in words.
+func dirChunks(h *Hierarchy) map[*uint64]int {
+	held := map[*uint64]int{}
+	for _, ch := range h.dir {
+		if ch != nil {
+			held[&ch[0]] = cap(ch)
+		}
+	}
+	return held
+}
+
+// checkDirectoryMemory bounds the directory's memory by the pages the
+// stream touched: one chunk of words<<dirChunkBits words per touched
+// 4096-line page, nothing for the untouched pages between them, and an
+// index no longer than the highest touched page.
+func checkDirectoryMemory(t *testing.T, h *Hierarchy, s []streamAccess, words int) {
+	t.Helper()
+	pages := map[int64]bool{}
+	var top int64
+	for _, a := range s {
+		if !a.flushOnly {
+			pages[a.line>>dirChunkBits] = true
+			top = max(top, a.line>>dirChunkBits)
+		}
+	}
+	if w := h.pw + h.lw; w != words {
+		t.Fatalf("entry width = %d words, want %d", w, words)
+	}
+	held := dirChunks(h)
+	if len(held) != len(pages) {
+		t.Fatalf("%d chunks allocated, want one per touched page (%d)", len(held), len(pages))
+	}
+	for _, c := range held {
+		if c != words<<dirChunkBits {
+			t.Fatalf("chunk holds %d words, want %d", c, words<<dirChunkBits)
+		}
+	}
+	if n := int64(len(h.dir)); n != top+1 {
+		t.Fatalf("chunk index has %d slots, want %d (highest touched page + 1)", n, top+1)
+	}
+}
+
 // TestDirectoryInvariant replays a sparse seeded stream on the paper
 // machine and on the 192-core shape from TestBigMachineDirectory, checking
-// the directory against the tag arrays along the way, then checks that
-// Reset empties the directory and that replaying the stream on the Reset
-// hierarchy charges exactly what a fresh hierarchy charges. The caches are
-// shrunk so the stream evicts from both levels on both shapes.
+// the directory against the tag arrays along the way and its memory
+// against the touched pages at the end, then checks that Reset empties the
+// directory, that replaying the stream on the Reset hierarchy charges
+// exactly what a fresh hierarchy charges, and that the replay reuses every
+// chunk. The caches are shrunk so the stream evicts from both levels on
+// both shapes. The entry widths are the directory's per-line overhead: 16
+// bytes per 64-byte line on the paper machine, 40 on the 192-core ring.
 func TestDirectoryInvariant(t *testing.T) {
 	geo := Geometry{PrivateBytes: 2 << 10, PrivateWays: 2, LLCBytes: 8 << 10, LLCWays: 4}
 	for _, tc := range []struct {
-		name string
-		top  *topology.Topology
+		name  string
+		top   *topology.Topology
+		words int
 	}{
-		{"paper-4x8", topology.XeonE5_4620()},
-		{"ring-96x2", topology.Ring(96, 2)},
+		{"paper-4x8", topology.XeonE5_4620(), 2},
+		{"ring-96x2", topology.Ring(96, 2), 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sparseStream(tc.top, 40000, 3)
@@ -140,6 +187,8 @@ func TestDirectoryInvariant(t *testing.T) {
 			if h.DirectorySize() == 0 {
 				t.Fatal("stream left nothing in the directory")
 			}
+			checkDirectoryMemory(t, h, s, tc.words)
+			held := dirChunks(h)
 
 			h.Reset()
 			if n := h.DirectorySize(); n != 0 {
@@ -153,70 +202,11 @@ func TestDirectoryInvariant(t *testing.T) {
 						i, fresh[i], first[i], again[i])
 				}
 			}
-		})
-	}
-}
-
-// TestDirectoryMemoryFollowsTouchedPages bounds the directory's memory by
-// the address range a stream touches: one chunk of 4096 entries per touched
-// page and nothing for untouched pages between them, (pw+lw) words per
-// entry, and a Reset-and-replay that reuses every chunk without allocating
-// another. The entry widths are the per-line overhead: 16 bytes per 64-byte
-// line on the paper machine, 40 on the 192-core ring.
-func TestDirectoryMemoryFollowsTouchedPages(t *testing.T) {
-	geo := Geometry{PrivateBytes: 2 << 10, PrivateWays: 2, LLCBytes: 8 << 10, LLCWays: 4}
-	for _, tc := range []struct {
-		name  string
-		top   *topology.Topology
-		words int
-	}{
-		{"paper-4x8", topology.XeonE5_4620(), 2},
-		{"ring-96x2", topology.Ring(96, 2), 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := sparseStream(tc.top, 40000, 5)
-			pages := map[int64]bool{}
-			var maxPage int64
-			for _, a := range s {
-				if !a.flushOnly {
-					pages[a.line>>dirChunkBits] = true
-					maxPage = max(maxPage, a.line>>dirChunkBits)
-				}
+			reused := dirChunks(h)
+			if len(reused) != len(held) {
+				t.Fatalf("after Reset and replay: %d chunks, want the same %d", len(reused), len(held))
 			}
-			h := NewHierarchy(tc.top, geo, DefaultLatency())
-			if w := h.pw + h.lw; w != tc.words {
-				t.Fatalf("entry width = %d words, want %d", w, tc.words)
-			}
-			replay(h, s, nil)
-			chunks := func() map[*uint64]int {
-				held := map[*uint64]int{}
-				for _, ch := range h.dir {
-					if ch != nil {
-						held[&ch[0]] = cap(ch)
-					}
-				}
-				return held
-			}
-			held := chunks()
-			if len(held) != len(pages) {
-				t.Fatalf("%d chunks allocated, want one per touched page (%d)", len(held), len(pages))
-			}
-			for _, c := range held {
-				if c != tc.words<<dirChunkBits {
-					t.Fatalf("chunk holds %d words, want %d", c, tc.words<<dirChunkBits)
-				}
-			}
-			if n := int64(len(h.dir)); n != maxPage+1 {
-				t.Fatalf("chunk index has %d slots, want %d (highest touched page + 1)", n, maxPage+1)
-			}
-
-			h.Reset()
-			replay(h, s, nil)
-			again := chunks()
-			if len(again) != len(held) {
-				t.Fatalf("after Reset and replay: %d chunks, want the same %d", len(again), len(held))
-			}
-			for p := range again {
+			for p := range reused {
 				if _, ok := held[p]; !ok {
 					t.Fatal("Reset and replay allocated a new chunk instead of reusing one")
 				}
