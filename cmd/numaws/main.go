@@ -109,6 +109,7 @@ import (
 	"syscall"
 
 	"repro/pkg/numaws"
+	"repro/pkg/numaws/api"
 )
 
 func main() {
@@ -131,12 +132,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs := flag.NewFlagSet("numaws", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() { printUsage(fs, stderr) }
-	scale := fs.String("scale", "full", "input scale: small or full")
-	topoSpec := fs.String("topology", "paper-4x8", "machine topology: a preset name or SOCKETSxCORES")
-	policy := fs.String("policy", "numaws", "scheduling policy of the NUMA-aware platform and the sweeps")
+	scale := fs.String("scale", api.DefaultScale, "input scale: small or full")
+	topoSpec := fs.String("topology", api.DefaultTopology, "machine topology: a preset name or SOCKETSxCORES")
+	policy := fs.String("policy", api.DefaultPolicy, "scheduling policy of the NUMA-aware platform and the sweeps")
 	bench := fs.String("bench", "", "comma-separated benchmark names (default: the whole registered suite)")
-	p := fs.Int("p", 0, "parallel worker count for tables (0: whole machine)")
-	seed := fs.Int64("seed", 1, "scheduler seed")
+	p := fs.Int("p", api.DefaultWorkers, "parallel worker count for tables (0: whole machine)")
+	seed := fs.Int64("seed", api.DefaultSeed, "scheduler seed")
 	seeds := fs.Int("seeds", 1, "seeds to average each parallel measurement over")
 	verify := fs.Bool("verify", true, "verify every run's result")
 	jobs := fs.Int("jobs", runtime.NumCPU(), "concurrent simulations on the host (wall-clock only; results are identical)")
@@ -245,7 +246,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "numaws: resume: replayed %d completed run(s), skipped %d torn/corrupt journal line(s)\n",
 			replayed, skipped)
 	}
-	if *policy != "numaws" {
+	if *policy != api.DefaultPolicy {
 		// The tables' column headers and export field names say NWS/numaws
 		// regardless of -policy (schema stability); flag the substitution
 		// where results would otherwise be misread as the paper's scheduler.

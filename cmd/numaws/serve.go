@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/pkg/numaws"
+	"repro/pkg/numaws/api"
 )
 
 // subcommandHelp drives the top-level usage text: every subcommand in
@@ -103,11 +104,11 @@ func runQuery(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.SetOutput(stderr)
 	server := fs.String("server", "http://localhost:8080", "base URL of a running numaws serve")
 	bench := fs.String("bench", "", "comma-separated benchmark names (default: every registered benchmark)")
-	topos := fs.String("topologies", "", "comma-separated topology presets or SOCKETSxCORES shapes (default: paper-4x8)")
-	policies := fs.String("policies", "", "comma-separated policy names (default: numaws)")
-	workers := fs.String("p", "", "comma-separated worker counts; 0 means each machine's whole core set (default: 0)")
-	seeds := fs.String("seeds", "", "comma-separated scheduler seeds (default: 1)")
-	scale := fs.String("scale", "full", "input scale: small or full")
+	topos := fs.String("topologies", "", "comma-separated topology presets or SOCKETSxCORES shapes (default: "+api.DefaultTopology+")")
+	policies := fs.String("policies", "", "comma-separated policy names (default: "+api.DefaultPolicy+")")
+	workers := fs.String("p", "", fmt.Sprintf("comma-separated worker counts; 0 means each machine's whole core set (default: %d)", api.DefaultWorkers))
+	seeds := fs.String("seeds", "", fmt.Sprintf("comma-separated scheduler seeds (default: %d)", api.DefaultSeed))
+	scale := fs.String("scale", api.DefaultScale, "input scale: small or full")
 	serial := fs.Bool("serial", false, "include the serial-elision (TS) row per benchmark and topology")
 	verify := fs.Bool("verify", true, "verify every run's result")
 	if err := fs.Parse(args); err != nil {

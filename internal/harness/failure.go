@@ -27,8 +27,8 @@ import (
 	"runtime/debug"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/pkg/numaws/api"
 )
 
 // FailKind classifies a contained run failure, deciding retryability:
@@ -124,12 +124,12 @@ func (e *RunError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// RowError converts the failure into the metrics layer's export shape —
-// also what the facade converts into its public RunFailure.
-func (e *RunError) RowError() *metrics.RowError {
-	return &metrics.RowError{
+// RowError converts the failure into the error row's public shape, the
+// one error rows carry and the facade returns.
+func (e *RunError) RowError() *api.RunFailure {
+	return &api.RunFailure{
 		Bench: e.Bench, Policy: e.Policy, P: e.P, Seed: e.Seed,
-		Kind: e.Kind.String(), Msg: e.detail(),
+		Kind: e.Kind.String(), Message: e.detail(),
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/api"
 )
 
 // gridOpts is the small grid configuration the containment tests share.
@@ -66,7 +67,7 @@ func TestGridContainsInjectedPanic(t *testing.T) {
 				t.Fatalf("victim %s has no error row: %+v", victim, row)
 			}
 			failed++
-			if row.Err.Kind != "panic" || !strings.Contains(row.Err.Msg, "injected panic") {
+			if row.Err.Kind != "panic" || !strings.Contains(row.Err.Message, "injected panic") {
 				t.Errorf("error row = %+v, want kind panic mentioning the injection", row.Err)
 			}
 			// Lowest submission index wins: the victim's TS reference was
@@ -423,7 +424,7 @@ func TestErrorRowsExport(t *testing.T) {
 	if row.Err == nil || row.Err.Kind != "verify" {
 		t.Fatalf("row = %+v, want verify error row", row)
 	}
-	if out := metrics.Table7([]metrics.Row{row}); !strings.Contains(out, "FAILED") {
+	if out := metrics.Table7([]api.Row{row}); !strings.Contains(out, "FAILED") {
 		t.Errorf("Table7 hides the failed row:\n%s", out)
 	}
 }

@@ -28,9 +28,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/pkg/numaws/api"
 )
 
 // runResult is one completed run's measured totals — exactly the fields
@@ -120,7 +120,7 @@ type platformRuns struct {
 	seeds []runResult
 }
 
-// specRuns holds every slot needed to assemble one metrics.Row, plus the
+// specRuns holds every slot needed to assemble one api.Row, plus the
 // spec's recorded failure (if any run of the spec failed).
 type specRuns struct {
 	ts       runResult
@@ -212,8 +212,8 @@ func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr 
 }
 
 // result folds one platform's totals into the averaged PlatformResult.
-func (p *platformRuns) result(seeds int) metrics.PlatformResult {
-	var pr metrics.PlatformResult
+func (p *platformRuns) result(seeds int) api.PlatformResult {
+	var pr api.PlatformResult
 	pr.T1 = p.t1.time
 	pr.W1 = p.t1.work
 	for _, rp := range p.seeds {
@@ -230,18 +230,18 @@ func (p *platformRuns) result(seeds int) metrics.PlatformResult {
 	return pr
 }
 
-// row assembles the metrics row once every job has completed: the folded
+// row assembles the result row once every job has completed: the folded
 // measurements, or an error row when any of the spec's runs failed.
-func (r *specRuns) row(spec Spec, opt Options) metrics.Row {
+func (r *specRuns) row(spec Spec, opt Options) api.Row {
 	if r.fail != nil {
-		return metrics.Row{
+		return api.Row{
 			Name:  spec.Name,
 			Input: spec.Input,
 			P:     opt.P,
 			Err:   r.fail.RowError(),
 		}
 	}
-	return metrics.Row{
+	return api.Row{
 		Name:   spec.Name,
 		Input:  spec.Input,
 		P:      opt.P,

@@ -10,9 +10,9 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/api"
 )
 
 // TestGridAmortizationByteIdentical drives a (2 policies x 3 P x 2 seeds)
@@ -36,8 +36,8 @@ func TestGridAmortizationByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
 			spec := specByName(t, tc.bench)
-			grid := func(fresh bool) []metrics.Row {
-				var rows []metrics.Row
+			grid := func(fresh bool) []api.Row {
+				var rows []api.Row
 				for _, p := range []int{2, 4, 8} {
 					row, err := Measure(t.Context(), spec, Options{
 						P: p, Seeds: 2, Jobs: 1, Verify: true, FreshInputs: fresh,

@@ -49,6 +49,7 @@ var scope = []string{
 	"repro/internal/workloads",
 	"repro/internal/harness",
 	"repro/internal/metrics",
+	"repro/pkg/numaws/api",
 }
 
 // bannedFuncs maps package path → function names whose call sites break

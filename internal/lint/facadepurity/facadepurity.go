@@ -2,12 +2,15 @@
 // ("Layering and the public facade") in one place, as types instead of
 // greps:
 //
-//   - the godoc-visible surface of pkg/numaws — exported function and
-//     method signatures, exported struct fields, embedded fields,
-//     exported interface methods, exported variable and constant types —
-//     names no type defined in an internal package. Internal types remain
-//     free to appear in unexported fields and function bodies; that is
-//     the point of a facade;
+//   - the godoc-visible surface of every package under pkg/ — the facade
+//     pkg/numaws and the public leaf pkg/numaws/api it aliases: exported
+//     function and method signatures, exported struct fields, embedded
+//     fields, exported interface methods, exported variable and constant
+//     types — names no type defined in an internal package. Internal types
+//     remain free to appear in unexported fields and function bodies; that
+//     is the point of a facade. Each public package is checked where its
+//     types are declared, which is what lets a reference to a named public
+//     type (an alias of an api type, say) pass without re-walking it;
 //   - binaries and examples (repro/cmd/..., repro/examples/...) import
 //     only the facade, never repro/internal/... directly. The lint
 //     infrastructure itself (repro/internal/lint/...) is exempt: the
@@ -31,17 +34,15 @@ import (
 // Analyzer is the facade-layering checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "facadepurity",
-	Doc: "pkg/numaws's exported surface names no internal type, and cmd/examples " +
+	Doc: "no exported surface under pkg/ names an internal type, and cmd/examples " +
 		"import only the facade (no suppression: the contract is absolute)",
 	Run: run,
 }
 
-const facadePath = "repro/pkg/numaws"
-
 func run(pass *analysis.Pass) error {
 	path := pass.Pkg.Path()
 	switch {
-	case path == facadePath:
+	case analysis.InPackage(path, "repro/pkg"):
 		checkSurface(pass)
 	case analysis.InPackage(path, "repro/cmd") || analysis.InPackage(path, "repro/examples"):
 		checkImports(pass)
@@ -72,8 +73,8 @@ func checkImports(pass *analysis.Pass) {
 	}
 }
 
-// checkSurface walks the facade's exported objects and flags any internal
-// type reachable through the godoc-visible parts of their types.
+// checkSurface walks a public package's exported objects and flags any
+// internal type reachable through the godoc-visible parts of their types.
 func checkSurface(pass *analysis.Pass) {
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
@@ -132,7 +133,7 @@ func (w *walker) check(pos token.Pos, where string, t types.Type, deep bool) {
 	}
 	w.seen[t] = true
 	if obj := internalObj(t); obj != nil {
-		w.pass.Reportf(pos, "%s leaks internal type %s.%s (%s) into the facade's exported surface",
+		w.pass.Reportf(pos, "%s leaks internal type %s.%s (%s) into a public package's exported surface",
 			where, obj.Pkg().Name(), obj.Name(), obj.Pkg().Path())
 		return
 	}
@@ -141,8 +142,9 @@ func (w *walker) check(pos token.Pos, where string, t types.Type, deep bool) {
 	}
 	switch t := t.(type) {
 	case *types.Named:
-		// A named non-internal type's own declaration is checked where it
-		// is declared; referencing it leaks nothing here.
+		// A named non-internal type is either public, and then checked in
+		// its own package, or from outside the module; referencing it
+		// leaks nothing here.
 	case *types.Alias:
 		w.check(pos, where, types.Unalias(t), true)
 	case *types.Pointer:

@@ -10,6 +10,7 @@ import (
 func TestFacadePurity(t *testing.T) {
 	lintest.Run(t, "testdata", facadepurity.Analyzer,
 		"repro/pkg/numaws",      // exported-surface leaks
+		"repro/pkg/leaf",        // a public leaf is checked too
 		"repro/cmd/badtool",     // internal import from a binary
 		"repro/examples/clean",  // facade-only example: silent
 		"repro/cmd/lintwiring",  // lint infrastructure import: exempt

@@ -5,6 +5,7 @@ package numaws
 
 import (
 	"repro/internal/engine"
+	"repro/pkg/leaf"
 )
 
 // Row is a clean exported type: internal machinery hides in unexported
@@ -54,3 +55,10 @@ func (r Row) Raw() *engine.Report { return r.raw } // want `type Row method Raw 
 // leak.
 
 func Curves() map[string][]engine.Report { return nil } // want `func Curves leaks internal type engine\.Report`
+
+// Aliases of public types are checked where those types are declared
+// (see repro/pkg/leaf), not here.
+
+type CleanAlias = leaf.Clean
+
+type LeakyAlias = leaf.Leaky

@@ -8,14 +8,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/api"
 )
 
 // fourCells is a 2-policy x 2-bench x 1-topology tournament with known
 // arithmetic: "a" wins fib (100 vs 200) and loses heat (300 vs 150), "b"
 // the reverse, so both score geomean(1, 2) = sqrt(2) and the tie breaks
 // on the policy name.
-func fourCells() []TournamentCell {
-	return []TournamentCell{
+func fourCells() []RawCell {
+	return []RawCell{
 		{Policy: "a", Bench: "fib", Topology: "2x4", TP: 100},
 		{Policy: "a", Bench: "heat", Topology: "2x4", TP: 300},
 		{Policy: "b", Bench: "fib", Topology: "2x4", TP: 200},
@@ -24,7 +26,7 @@ func fourCells() []TournamentCell {
 }
 
 func TestNewTournamentScoresAndRanks(t *testing.T) {
-	tour, err := NewTournament([]TournamentCell{
+	tour, err := NewTournament([]RawCell{
 		{Policy: "slow", Bench: "fib", Topology: "2x4", TP: 220},
 		{Policy: "fast", Bench: "fib", Topology: "2x4", TP: 100},
 		{Policy: "slow", Bench: "fib", Topology: "4x8", TP: 90},
@@ -72,14 +74,14 @@ func TestNewTournamentTieBreaksByName(t *testing.T) {
 func TestNewTournamentRejectsBadGrids(t *testing.T) {
 	cases := []struct {
 		name  string
-		cells []TournamentCell
+		cells []RawCell
 		want  string
 	}{
 		{"empty", nil, "no cells"},
 		{"duplicate cell", append(fourCells(),
-			TournamentCell{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), "twice"},
+			RawCell{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), "twice"},
 		{"missing cell", fourCells()[:3], "missing cell"},
-		{"non-positive time", []TournamentCell{
+		{"non-positive time", []RawCell{
 			{Policy: "a", Bench: "fib", Topology: "2x4", TP: 0}}, "non-positive TP"},
 	}
 	for _, tc := range cases {
@@ -94,7 +96,7 @@ func TestTournamentTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := TournamentTable(&tour)
+	got := tour.Table()
 	for _, want := range []string{
 		"Tournament: 2 policies x 2 benchmark(s) x 1 topology(s); winner a (score 1.4142)",
 		"geomean over cells",
@@ -115,7 +117,7 @@ func TestTournamentExportRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteExport(&buf, Export{Tournament: &tour}); err != nil {
+	if err := WriteExport(&buf, api.Export{Tournament: &tour}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -147,7 +149,7 @@ func TestTournamentExportRoundTrips(t *testing.T) {
 
 	// And the export omits the section when absent.
 	buf.Reset()
-	if err := WriteExport(&buf, Export{}); err != nil {
+	if err := WriteExport(&buf, api.Export{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "tournament") {
@@ -161,7 +163,7 @@ func TestWriteTournamentCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTournamentCSV(&buf, &tour); err != nil {
+	if err := WriteTournamentCSV(&buf, tour); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()

@@ -46,6 +46,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/api"
 )
 
 // Config configures a Server.
@@ -117,21 +118,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleGrid expands the request, fans the runs out on a bounded pool,
-// and streams each completed row as its own NDJSON event. The handler's
-// context is the request's: client disconnect cancels the pool, skipping
-// runs not yet started, and the stream ends without its summary trailer.
+// handleGrid expands the request and streams one NDJSON event per
+// completed row, then the grid's tally as the trailer.
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req gridRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad grid request: "+err.Error(), http.StatusBadRequest)
+	var req api.GridRequest
+	if !decodePost(w, r, "grid", &req) {
 		return
 	}
 	runs, err := s.expand(req)
@@ -139,44 +130,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.grids.Add(1)
-	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	st := newStream(w)
-	var mu sync.Mutex
-	var sum gridSummary
-	pool := exec.NewPool(ctx, s.jobs)
-	for i, rn := range runs {
-		rn := rn
-		pool.Submit(ctx, i, func() error {
-			row, err := s.runOne(ctx, rn)
-			if err != nil {
-				return err // grid-level: cancellation or store I/O aborts the stream
-			}
-			mu.Lock()
-			sum.Rows++
-			switch {
-			case row.Err != nil:
-				sum.Failed++
-			case row.Cached:
-				sum.Cached++
-			default:
-				sum.Simulated++
-			}
-			mu.Unlock()
-			s.rows.Add(1)
-			return st.event(gridEvent{Row: row})
-		})
-	}
-	if err := pool.Wait(ctx); err != nil {
-		// The stream is committed to 200 by now; ending it without the
-		// done trailer is the in-band abort signal.
-		s.logf("numaws: grid aborted: %v", err)
-		return
-	}
-	if err := st.event(gridEvent{Done: &sum}); err != nil {
-		s.logf("numaws: grid summary write: %v", err)
-	}
+	s.serveRuns(w, r, "grid", runs, func(_ []*api.GridRow, sum api.GridSummary) any { return &sum })
 }
 
 // handleTournament runs a policy tournament through the same store-backed,
@@ -186,16 +140,8 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 // cells of completion time normalized to each cell's best, averaged over
 // the request's seeds. A warm store re-ranks without simulating anything.
 func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req tournamentRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad tournament request: "+err.Error(), http.StatusBadRequest)
+	var req api.TournamentRequest
+	if !decodePost(w, r, "tournament", &req) {
 		return
 	}
 	polNames := req.Policies
@@ -218,7 +164,7 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 			seen[v] = true
 		}
 	}
-	runs, err := s.expand(gridRequest{
+	runs, err := s.expand(api.GridRequest{
 		Benches: req.Benches, Topologies: req.Topologies, Policies: polNames,
 		Seeds: req.Seeds, Scale: req.Scale, Verify: req.Verify,
 	})
@@ -226,25 +172,64 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.serveRuns(w, r, "tournament", runs, func(rows []*api.GridRow, sum api.GridSummary) any {
+		done := &api.TournamentSummary{Rows: sum.Rows, Cached: sum.Cached, Simulated: sum.Simulated, Failed: sum.Failed}
+		if sum.Failed > 0 {
+			return done
+		}
+		ranking, err := rank(rows)
+		if err != nil {
+			// Unreachable with the duplicate-axis check above; ending the
+			// stream without its trailer is the in-band abort signal.
+			s.logf("numaws: tournament ranking: %v", err)
+			return nil
+		}
+		done.Ranking = ranking
+		return done
+	})
+}
+
+// decodePost reads a POST body of at most 1 MiB into v, rejecting unknown
+// fields. When the request is unusable it answers it and reports false.
+func decodePost(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		http.Error(w, "bad "+what+" request: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// serveRuns fans the runs out on a bounded pool and streams each completed
+// row as its own NDJSON event. Once every run is done, trailer builds the
+// done event from the rows (in expansion order, not completion order) and
+// their tally. The handler's context is the request's: client disconnect
+// cancels the pool, skipping runs not yet started, and the stream ends
+// without its trailer — as it does when trailer returns nil.
+func (s *Server) serveRuns(w http.ResponseWriter, r *http.Request, what string, runs []runSpec,
+	trailer func(rows []*api.GridRow, sum api.GridSummary) any) {
 	s.grids.Add(1)
 	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := newStream(w)
-	// results is index-addressed so the post-wait aggregation walks the
-	// expansion's canonical order, not completion order.
-	results := make([]*gridRow, len(runs))
+	rows := make([]*api.GridRow, len(runs))
 	var mu sync.Mutex
-	var sum tournamentSummary
+	var sum api.GridSummary
 	pool := exec.NewPool(ctx, s.jobs)
 	for i, rn := range runs {
-		i, rn := i, rn
 		pool.Submit(ctx, i, func() error {
 			row, err := s.runOne(ctx, rn)
 			if err != nil {
-				return err
+				return err // grid-level: cancellation or store I/O aborts the stream
 			}
 			mu.Lock()
-			results[i] = row
+			rows[i] = row
 			sum.Rows++
 			switch {
 			case row.Err != nil:
@@ -256,56 +241,62 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 			}
 			mu.Unlock()
 			s.rows.Add(1)
-			return st.event(tournamentEvent{Row: row})
+			return st.event(event{Row: row})
 		})
 	}
 	if err := pool.Wait(ctx); err != nil {
-		s.logf("numaws: tournament aborted: %v", err)
+		// The stream is committed to 200 by now; ending it without the
+		// done trailer is the in-band abort signal.
+		s.logf("numaws: %s aborted: %v", what, err)
 		return
 	}
-	if sum.Failed == 0 {
-		type cellKey struct{ pol, bench, topo string }
-		var order []cellKey
-		type acc struct{ total, n int64 }
-		agg := map[cellKey]acc{}
-		for _, row := range results {
-			k := cellKey{row.Policy, row.Bench, row.Topology}
-			a, ok := agg[k]
-			if !ok {
-				order = append(order, k)
-			}
-			a.total += row.Time
-			a.n++
-			agg[k] = a
-		}
-		cells := make([]metrics.TournamentCell, len(order))
-		for i, k := range order {
-			a := agg[k]
-			cells[i] = metrics.TournamentCell{
-				Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n,
-			}
-		}
-		t, err := metrics.NewTournament(cells)
-		if err != nil {
-			// Unreachable with the duplicate-axis check above; ending the
-			// stream without its trailer is the in-band abort signal.
-			s.logf("numaws: tournament ranking: %v", err)
-			return
-		}
-		for _, e := range t.Entries {
-			sum.Ranking = append(sum.Ranking, tournamentRank{Rank: e.Rank, Policy: e.Policy, Score: e.Score})
-		}
+	done := trailer(rows, sum)
+	if done == nil {
+		return
 	}
-	if err := st.event(tournamentEvent{Done: &sum}); err != nil {
-		s.logf("numaws: tournament summary write: %v", err)
+	if err := st.event(event{Done: done}); err != nil {
+		s.logf("numaws: %s summary write: %v", what, err)
 	}
+}
+
+// rank averages each (policy, bench, topology) cell over its seeds, in
+// the rows' order, and ranks the policies.
+func rank(rows []*api.GridRow) ([]api.TournamentRank, error) {
+	type cellKey struct{ pol, bench, topo string }
+	var order []cellKey
+	type acc struct{ total, n int64 }
+	agg := map[cellKey]acc{}
+	for _, row := range rows {
+		k := cellKey{row.Policy, row.Bench, row.Topology}
+		a, ok := agg[k]
+		if !ok {
+			order = append(order, k)
+		}
+		a.total += row.Time
+		a.n++
+		agg[k] = a
+	}
+	cells := make([]metrics.RawCell, len(order))
+	for i, k := range order {
+		a := agg[k]
+		cells[i] = metrics.RawCell{Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n}
+	}
+	t, err := metrics.NewTournament(cells)
+	if err != nil {
+		return nil, err
+	}
+	ranking := make([]api.TournamentRank, len(t.Entries))
+	for i, e := range t.Entries {
+		ranking[i] = api.TournamentRank{Rank: e.Rank, Policy: e.Policy, Score: e.Score}
+	}
+	return ranking, nil
 }
 
 // runOne produces one grid row. Contained run failures (*harness.RunError:
 // panic, verification mismatch, deadline) become the row's err field and
 // the grid proceeds; only cancellation and store I/O return an error.
-func (s *Server) runOne(ctx context.Context, rn runSpec) (*gridRow, error) {
-	row := &gridRow{
+func (s *Server) runOne(ctx context.Context, rn runSpec) (*api.GridRow, error) {
+	row := &api.GridRow{
 		Bench: rn.spec.Name, Input: rn.spec.Input, Scale: rn.scaleName,
 		Topology: rn.topoName, Policy: rn.polName, P: rn.p, Seed: rn.seed,
 		Serial: rn.serial,
@@ -315,7 +306,7 @@ func (s *Server) runOne(ctx context.Context, rn runSpec) (*gridRow, error) {
 		var re *harness.RunError
 		if errors.As(err, &re) && ctx.Err() == nil {
 			s.failures.Add(1)
-			row.Err = &rowError{Kind: re.Kind.String(), Msg: re.Error()}
+			row.Err = &api.GridRowError{Kind: re.Kind.String(), Msg: re.Error()}
 			return row, nil
 		}
 		return nil, err

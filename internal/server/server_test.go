@@ -1,15 +1,14 @@
 // End-to-end tests for the sweep service, driven the way a real client
 // drives it: a live handler behind httptest and the facade's QueryGrid
 // streaming client. Living in package server_test lets them import
-// pkg/numaws, which pins the facade's mirrored wire types to this
-// package's in lockstep — a tag drift on either side breaks decoding
-// here.
+// pkg/numaws. The wire bytes themselves are pinned in pkg/numaws/api.
 //
 // Several tests arm faultinject plans, which are process-global, so no
 // test in this file runs with t.Parallel.
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -346,6 +345,42 @@ func TestBadRequestsAreRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
 		t.Errorf("GET /v1/grid: status %d Allow %q, want 405 with Allow: POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
+
+// TestOversizedGridIsRejectedBeforeExpansion: a body well under the 1 MiB
+// cap can name a cross product of millions of runs. The server must size
+// the grid from its axis lengths and refuse it before building a single
+// run, so rejecting it costs about what decoding the body costs.
+func TestOversizedGridIsRejectedBeforeExpansion(t *testing.T) {
+	srv, _ := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	defer srv.Close()
+	const n = 3000 // 3000 workers x 3000 seeds = 9M runs
+	req := numaws.GridRequest{Benches: []string{"fib"}, Topologies: []string{"2x4"}, Scale: "small"}
+	for i := range n {
+		req.Workers = append(req.Workers, 1+i%8)
+		req.Seeds = append(req.Seeds, int64(i+1))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds this server's limit") {
+		t.Fatalf("status %d body %q, want 400 naming the server's limit", rec.Code, rec.Body.String())
+	}
+	// Building the runs would take gigabytes; decoding the body takes a
+	// few hundred kilobytes.
+	const bound = 4 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rejecting a %d-run grid allocated %d bytes", n*n, got)
+	if got > bound {
+		t.Errorf("rejecting the grid allocated %d bytes, want at most %d", got, bound)
 	}
 }
 

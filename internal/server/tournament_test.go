@@ -1,6 +1,5 @@
 // End-to-end tests for POST /v1/tournament, driven through the facade's
-// QueryTournament streaming client like a real consumer — which also pins
-// the facade's mirrored tournament wire types to this package's.
+// QueryTournament streaming client like a real consumer.
 package server_test
 
 import (

@@ -1,11 +1,9 @@
 package server
 
-// The sweep service's wire contract. These types define the JSON that
-// crosses the HTTP boundary; pkg/numaws mirrors them field for field in
-// its own facade types (GridRequest, GridRow, GridSummary) because the
-// facade wraps this package and therefore cannot be imported by it — the
-// JSON tags, not the Go types, are the shared contract, and the facade's
-// end-to-end tests pin the two in lockstep.
+// The sweep service's request expansion. The JSON contract itself, the
+// request, row and summary types, lives in the public leaf package
+// repro/pkg/numaws/api; this file adds only the stream's envelope and the
+// validated run list a request expands to.
 
 import (
 	"fmt"
@@ -14,125 +12,15 @@ import (
 	"repro/internal/harness"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/pkg/numaws/api"
 )
 
-// gridRequest is the body of POST /v1/grid: the same experiment axes the
-// CLI takes, each a list, expanded to their cross product. Empty axes
-// take the CLI's defaults.
-type gridRequest struct {
-	// Benches restricts the grid to the named benchmarks, in the given
-	// order; empty means every registered benchmark.
-	Benches []string `json:"benches,omitempty"`
-	// Topologies lists preset names or SOCKETSxCORES shapes; empty means
-	// ["paper-4x8"].
-	Topologies []string `json:"topologies,omitempty"`
-	// Policies lists registered policy names; empty means ["numaws"].
-	Policies []string `json:"policies,omitempty"`
-	// Workers lists simulated worker counts; 0 means the whole machine of
-	// each topology. Empty means [0].
-	Workers []int `json:"workers,omitempty"`
-	// Seeds lists scheduler seeds; 0 is rejected (the engine reserves it
-	// as "default"). Empty means [1].
-	Seeds []int64 `json:"seeds,omitempty"`
-	// Scale is "small" or "full" (the default).
-	Scale string `json:"scale,omitempty"`
-	// Serial adds one serial-elision (TS) row per benchmark × topology.
-	Serial bool `json:"serial,omitempty"`
-	// Verify controls result verification; nil means true.
-	Verify *bool `json:"verify,omitempty"`
-}
-
-// gridRow is one completed run, streamed as an NDJSON event the moment it
-// finishes (completion order, not grid order — clients sort by the
-// identity fields if they need canonical order).
-type gridRow struct {
-	Bench    string `json:"bench"`
-	Input    string `json:"input"`
-	Scale    string `json:"scale"`
-	Topology string `json:"topology"` // the requested spec string
-	Policy   string `json:"policy"`   // "serial" for serial-elision rows
-	P        int    `json:"p"`
-	Seed     int64  `json:"seed"`
-	Serial   bool   `json:"serial,omitempty"`
-	// Cached marks a row served without simulating in this request: a
-	// store hit, or a coalesced ride on another client's in-flight run.
-	Cached bool  `json:"cached"`
-	Time   int64 `json:"time"`
-	Work   int64 `json:"work"`
-	Sched  int64 `json:"sched"`
-	Idle   int64 `json:"idle"`
-	// Err marks a contained run failure (panic, verify, timeout); the
-	// measurement fields are zero and the grid proceeded without it.
-	Err *rowError `json:"err,omitempty"`
-}
-
-// rowError is a contained failure on the wire.
-type rowError struct {
-	Kind string `json:"kind"`
-	Msg  string `json:"msg"`
-}
-
-// gridSummary trails the stream. A response that ends without one was
-// truncated: the grid aborted (cancellation, store I/O) mid-stream.
-type gridSummary struct {
-	Rows      int `json:"rows"`
-	Cached    int `json:"cached"`
-	Simulated int `json:"simulated"`
-	Failed    int `json:"failed"`
-}
-
-// gridEvent is one NDJSON line: exactly one field is set.
-type gridEvent struct {
-	Row  *gridRow     `json:"row,omitempty"`
-	Done *gridSummary `json:"done,omitempty"`
-}
-
-// tournamentRequest is the body of POST /v1/tournament: a policy
-// tournament over the benchmark x topology grid. Every cell runs at its
-// machine's full core count; a fixed worker axis would bias the ranking
-// toward machines it happens to fit, so the request has none.
-type tournamentRequest struct {
-	// Benches restricts the grid to the named benchmarks, in the given
-	// order; empty means every registered benchmark.
-	Benches []string `json:"benches,omitempty"`
-	// Topologies lists preset names or SOCKETSxCORES shapes; empty means
-	// ["paper-4x8"].
-	Topologies []string `json:"topologies,omitempty"`
-	// Policies lists the contestants; empty means every registered policy.
-	Policies []string `json:"policies,omitempty"`
-	// Seeds lists scheduler seeds to average each cell over; empty means
-	// [1].
-	Seeds []int64 `json:"seeds,omitempty"`
-	// Scale is "small" or "full" (the default).
-	Scale string `json:"scale,omitempty"`
-	// Verify controls result verification; nil means true.
-	Verify *bool `json:"verify,omitempty"`
-}
-
-// tournamentRank is one ranked policy of the trailer.
-type tournamentRank struct {
-	Rank   int     `json:"rank"`
-	Policy string  `json:"policy"`
-	Score  float64 `json:"score"` // geomean of per-cell TP / cell-best TP
-}
-
-// tournamentSummary trails a tournament stream: the grid counts plus the
-// ranking. Ranking is omitted when any cell failed — a ranking over
-// missing cells would compare incomparables — so clients must treat a
-// summary with Failed > 0 as an unranked tournament.
-type tournamentSummary struct {
-	Rows      int              `json:"rows"`
-	Cached    int              `json:"cached"`
-	Simulated int              `json:"simulated"`
-	Failed    int              `json:"failed"`
-	Ranking   []tournamentRank `json:"ranking,omitempty"`
-}
-
-// tournamentEvent is one NDJSON line of a tournament stream: exactly one
-// field is set. Rows are the same shape grid streams use.
-type tournamentEvent struct {
-	Row  *gridRow           `json:"row,omitempty"`
-	Done *tournamentSummary `json:"done,omitempty"`
+// event is one NDJSON line of a grid or tournament stream: exactly one
+// field is set. Done holds an *api.GridSummary or an
+// *api.TournamentSummary.
+type event struct {
+	Row  *api.GridRow `json:"row,omitempty"`
+	Done any          `json:"done,omitempty"`
 }
 
 // runSpec is one expanded grid cell, validated and resolved.
@@ -152,13 +40,18 @@ type runSpec struct {
 // expand validates a request the way the CLI validates its flags — every
 // unknown name is an error listing the accepted ones, never a silent
 // default — and expands the axes into the grid's run list: bench-major,
-// then topology, the serial row first, then policy × workers × seeds.
-func (s *Server) expand(req gridRequest) ([]runSpec, error) {
+// then topology, the serial row first, then policy × workers × seeds. The
+// grid's size is checked against the server's limit before any run is
+// built, so an oversized request costs no more than its own decoding.
+func (s *Server) expand(req api.GridRequest) ([]runSpec, error) {
 	scaleName := req.Scale
+	if scaleName == "" {
+		scaleName = api.DefaultScale
+	}
 	var sc harness.Scale
 	switch scaleName {
-	case "", "full":
-		scaleName, sc = "full", harness.ScaleFull
+	case "full":
+		sc = harness.ScaleFull
 	case "small":
 		sc = harness.ScaleSmall
 	default:
@@ -188,7 +81,7 @@ func (s *Server) expand(req gridRequest) ([]runSpec, error) {
 	}
 	topoSpecs := req.Topologies
 	if len(topoSpecs) == 0 {
-		topoSpecs = []string{"paper-4x8"}
+		topoSpecs = []string{api.DefaultTopology}
 	}
 	type machine struct {
 		name string
@@ -204,7 +97,7 @@ func (s *Server) expand(req gridRequest) ([]runSpec, error) {
 	}
 	polNames := req.Policies
 	if len(polNames) == 0 {
-		polNames = []string{"numaws"}
+		polNames = []string{api.DefaultPolicy}
 	}
 	pols := make([]sched.Policy, 0, len(polNames))
 	for _, n := range polNames {
@@ -216,16 +109,36 @@ func (s *Server) expand(req gridRequest) ([]runSpec, error) {
 	}
 	workers := req.Workers
 	if len(workers) == 0 {
-		workers = []int{0}
+		workers = []int{api.DefaultWorkers}
+	}
+	for _, m := range machines {
+		for _, p := range workers {
+			if p < 0 {
+				return nil, fmt.Errorf("negative worker count %d", p)
+			}
+			if p > m.top.Cores() {
+				return nil, fmt.Errorf("%d workers out of range [1,%d] for topology %s",
+					p, m.top.Cores(), m.name)
+			}
+		}
 	}
 	seeds := req.Seeds
 	if len(seeds) == 0 {
-		seeds = []int64{1}
+		seeds = []int64{api.DefaultSeed}
 	}
 	for _, sd := range seeds {
 		if sd == 0 {
 			return nil, fmt.Errorf("seed 0 is reserved as the engine's default; pass an explicit non-zero seed")
 		}
+	}
+	// The per-machine count is used only once its product is known to fit.
+	perMachine := len(pols) * len(workers) * len(seeds)
+	if req.Serial {
+		perMachine++
+	}
+	if !fits(s.maxRuns, len(pols), len(workers), len(seeds)) ||
+		!fits(s.maxRuns, len(specs), len(machines), perMachine) {
+		return nil, fmt.Errorf("grid exceeds this server's limit of %d runs; split the request", s.maxRuns)
 	}
 	var runs []runSpec
 	for _, sp := range specs {
@@ -239,21 +152,13 @@ func (s *Server) expand(req gridRequest) ([]runSpec, error) {
 			}
 			for _, pol := range pols {
 				for _, p := range workers {
-					if p < 0 {
-						return nil, fmt.Errorf("negative worker count %d", p)
-					}
-					rp := p
-					if rp == 0 {
-						rp = m.top.Cores()
-					}
-					if rp > m.top.Cores() {
-						return nil, fmt.Errorf("%d workers out of range [1,%d] for topology %s",
-							p, m.top.Cores(), m.name)
+					if p == 0 {
+						p = m.top.Cores()
 					}
 					for _, sd := range seeds {
 						runs = append(runs, runSpec{
 							spec: sp, topoName: m.name, top: m.top,
-							pol: pol, polName: pol.Name(), p: rp, seed: sd,
+							pol: pol, polName: pol.Name(), p: p, seed: sd,
 							scaleName: scaleName, verify: verify,
 						})
 					}
@@ -261,9 +166,18 @@ func (s *Server) expand(req gridRequest) ([]runSpec, error) {
 			}
 		}
 	}
-	if len(runs) > s.maxRuns {
-		return nil, fmt.Errorf("grid of %d runs exceeds this server's limit of %d; split the request",
-			len(runs), s.maxRuns)
-	}
 	return runs, nil
+}
+
+// fits reports whether the product of the axis lengths is at most limit,
+// stopping before any partial product could overflow.
+func fits(limit int, lens ...int) bool {
+	n := 1
+	for _, l := range lens {
+		if l > 0 && n > limit/l {
+			return false
+		}
+		n *= l
+	}
+	return true
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/pkg/numaws/api"
 )
 
 // Scale selects the benchmark input sizes.
@@ -318,10 +319,11 @@ type Session struct {
 // benchmark names are reported here, before any simulation runs.
 func New(opts ...Option) (*Session, error) {
 	c := config{
-		topology: "paper-4x8",
-		policy:   "numaws",
+		topology: api.DefaultTopology,
+		policy:   api.DefaultPolicy,
 		scale:    ScaleFull,
-		seed:     1,
+		workers:  api.DefaultWorkers,
+		seed:     api.DefaultSeed,
 		seeds:    1,
 		jobs:     exec.DefaultJobs(),
 		verify:   true,

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/server"
@@ -99,7 +100,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 		return fmt.Errorf("numaws: %w", err)
 	}
 	s.logf("numaws: serving on http://%s (store %s)", ln.Addr(), s.st.Path())
-	hs := &http.Server{Handler: s.inner.Handler()}
+	hs := newHTTPServer(s.inner.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -114,6 +115,21 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 		<-errc // Serve has returned http.ErrServerClosed
 		return nil
 	}
+}
+
+// The service's connection timeouts. A client gets readHeaderTimeout to
+// send a request's headers and may hold an idle keep-alive connection for
+// idleTimeout. There is deliberately no write timeout: a grid stream lasts
+// as long as its simulations do.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service's handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // Close releases the result store. Records are fsync'd as they are
