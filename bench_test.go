@@ -44,7 +44,7 @@ func specByName(b *testing.B, name string) harness.Spec {
 	return harness.Spec{}
 }
 
-// allNames is the paper's nine — the set the committed BENCH_baseline.json
+// allNames is the paper's nine — the set the committed BENCH_baseline.txt
 // was captured over, kept stable so CI benchstat comparisons stay
 // apples-to-apples. The Cilk-suite additions get their own benchmark
 // family (BenchmarkCilkSuite) below.
@@ -374,7 +374,7 @@ func BenchmarkAblationEagerPush(b *testing.B) {
 // Each iteration is one complete MeasureAll at the small scale; compare
 // jobs=1 against jobs=N for the speedup (results are identical; see
 // TestMeasureAllParallelMatchesSerial). Restricted to the paper nine:
-// the committed BENCH_baseline.json entry was captured over that set,
+// the committed BENCH_baseline.txt entry was captured over that set,
 // and CI benchstats every push against it.
 func BenchmarkMeasureAllJobs(b *testing.B) {
 	specs := make([]harness.Spec, len(allNames))
@@ -403,7 +403,7 @@ func BenchmarkMeasureAllJobs(b *testing.B) {
 // iteration re-runs the whole grid, so the pooled variant shows what the
 // input pool, the shared TS memo, and the verify-reference caches save
 // across the (policy, P, seed) cells; the fresh variant is the control.
-// The committed BENCH_grid.json entry gates simulated cycles and allocs/op
+// The committed BENCH_grid.txt entry gates simulated cycles and allocs/op
 // in CI (cmd/benchgate).
 func BenchmarkGrid(b *testing.B) {
 	specs := make([]harness.Spec, len(allNames))

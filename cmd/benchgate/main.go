@@ -1,5 +1,5 @@
 // Command benchgate turns a pair of `go test -bench` outputs into a hard
-// CI gate. It compares a committed reference (e.g. BENCH_grid.json) against
+// CI gate. It compares a committed reference (e.g. BENCH_grid.txt) against
 // a freshly produced run and fails when the new run drifts on anything the
 // simulator promises to hold constant:
 //
@@ -24,7 +24,7 @@
 //
 // Usage:
 //
-//	benchgate -ref BENCH_grid.json -new /tmp/bench.txt [-alloc-slack 1.25]
+//	benchgate -ref BENCH_grid.txt -new /tmp/bench.txt [-alloc-slack 1.25]
 package main
 
 import (

@@ -177,9 +177,14 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		return runQuery(ctx, rest, stdout, stderr)
 	}
-	sc := numaws.ScaleFull
-	if *scale == "small" {
+	var sc numaws.Scale
+	switch *scale {
+	case "small":
 		sc = numaws.ScaleSmall
+	case "full":
+		sc = numaws.ScaleFull
+	default:
+		return fail(fmt.Errorf("unknown -scale %q (want small or full)", *scale))
 	}
 	if *jobs < 1 {
 		fmt.Fprintf(stderr, "numaws: -jobs %d clamped to 1 (need at least one host worker)\n", *jobs)

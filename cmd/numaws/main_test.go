@@ -182,6 +182,23 @@ func TestUnknownTopologyIsUsageError(t *testing.T) {
 	}
 }
 
+func TestUnknownScaleIsUsageError(t *testing.T) {
+	code, _, errb := runCLI(t, "-scale", "bogus", "fig1")
+	if code == 0 {
+		t.Fatal("unknown -scale exited 0")
+	}
+	for _, want := range []string{`"bogus"`, "small", "full"} {
+		if !strings.Contains(errb, want) {
+			t.Errorf("unknown -scale stderr missing %q:\n%s", want, errb)
+		}
+	}
+	for _, v := range []string{"small", "full"} {
+		if code, _, errb := runCLI(t, "-scale", v, "fig1"); code != 0 {
+			t.Errorf("-scale %s rejected: %s", v, errb)
+		}
+	}
+}
+
 // TestWorkerCountFollowsTheMachine pins the -p bugfix: the default worker
 // count is the machine's core count — not the stale 32-worker cap of the
 // fixed-4x8 era — and out-of-range counts are usage errors naming the
@@ -278,6 +295,41 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	// a healthy file) zero skipped lines.
 	if !strings.Contains(errb, "numaws: resume: replayed") || !strings.Contains(errb, "skipped 0 torn/corrupt journal line(s)") {
 		t.Errorf("resume did not report its replay counts:\n%s", errb)
+	}
+}
+
+// TestResumeAfterTornTailKeepsNewRecords pins that a resume heals a torn
+// journal tail before appending: the runs a resume adds must be readable
+// by the next resume, not stranded behind the torn line.
+func TestResumeAfterTornTailKeepsNewRecords(t *testing.T) {
+	path := t.TempDir() + "/torn.jsonl"
+	args := func(benches string, extra ...string) []string {
+		return append([]string{"-scale", "small", "-topology", "2x2", "-bench", benches, "-journal", path}, append(extra, "table7")...)
+	}
+	if code, _, errb := runCLI(t, args("fib")...); code != 0 {
+		t.Fatalf("journaled run exited %d, stderr:\n%s", code, errb)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"crc":1,"rec":{"tor`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	code, _, errb := runCLI(t, args("fib,nqueens", "-resume")...)
+	if code != 0 {
+		t.Fatalf("first resume exited %d, stderr:\n%s", code, errb)
+	}
+	if !strings.Contains(errb, "replayed 5 completed run(s), skipped 1 torn/corrupt") {
+		t.Errorf("first resume should replay fib's 5 runs and skip the torn line:\n%s", errb)
+	}
+	code, _, errb = runCLI(t, args("fib,nqueens", "-resume")...)
+	if code != 0 {
+		t.Fatalf("second resume exited %d, stderr:\n%s", code, errb)
+	}
+	if !strings.Contains(errb, "replayed 10 completed run(s), skipped 0 torn/corrupt") {
+		t.Errorf("second resume lost the first resume's records:\n%s", errb)
 	}
 }
 

@@ -10,9 +10,9 @@ package harness
 // deterministic retry loop (attemptRun) that re-runs transient failures
 // and refuses to re-run deterministic ones.
 //
-// Resource discipline under failure: the per-run bodies in harness.go
-// settle every held resource in deferred code so the settlement happens on
-// the panic unwind path too. A run that did not complete its simulation
+// Resource discipline under failure: the one per-run body (simulate, in
+// harness.go) settles every held resource in deferred code so the
+// settlement happens on the panic unwind path too. A run that did not complete its simulation
 // quarantines its arena (never handed back to the sync.Pool — its engine
 // state is suspect mid-unwind) and Discards its workload lease; a run that
 // completed but failed verification returns the arena (the engine

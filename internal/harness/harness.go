@@ -12,6 +12,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -195,16 +196,16 @@ func (o Options) fill() Options {
 	return o
 }
 
-// newRuntime builds a fresh platform. arena may be nil (serial runs never
-// touch the parallel engine's storage); interrupt may be nil (no run
-// deadline — see interruptFor).
-func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, recordDAG bool, arena *core.Arena, interrupt func() bool) *core.Runtime {
+// newRuntime builds a fresh platform. interrupt may be nil (no run
+// deadline — see interruptFor); tracer may be nil (no timeline).
+func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, recordDAG bool, arena *core.Arena, interrupt func() bool, tracer sched.Tracer) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		Sched: sched.Config{
 			Topology:  top,
 			Workers:   workers,
 			Policy:    pol,
 			Seed:      seed,
+			Tracer:    tracer,
 			Interrupt: interrupt,
 		},
 		Geometry:  cache.DefaultGeometry(),
@@ -258,17 +259,24 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 	opt = opt.fill()
 	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
 	return attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
-		return runParallelOnce(rctx, spec, pol, opt, key)
+		return simulate(rctx, spec, pol, opt, key, nil)
 	})
 }
 
-// runParallelOnce is one attempt of one parallel measurement: check out
-// the run's resources, simulate, verify, settle. The deferred settlement
-// is the quarantine mechanism — it runs on the panic unwind path too, so
-// by the time contain converts the panic into a RunError, the failed
-// attempt's arena and workload instance are already out of circulation.
-func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey) (*core.Report, error) {
-	plan := faultinject.ForRun(spec.Name, pol.Name(), opt.P, opt.Seed, false)
+// simulate is one attempt of one run — the serial elision when key.serial,
+// a parallel simulation under pol otherwise: check out the run's
+// resources, simulate, verify, settle. RunOne, RunSerial and RunTraced all
+// run through it. The deferred settlement is the quarantine mechanism — it
+// runs on the panic unwind path too, so by the time contain converts the
+// panic into a RunError, the failed attempt's arena and workload instance
+// are already out of circulation. The serial elision polls the interrupt
+// hook at its Spawn/Compute edges, so serial runs honor RunTimeout too.
+func simulate(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey, tracer sched.Tracer) (*core.Report, error) {
+	workers, recordDAG := opt.P, opt.RecordDAG
+	if key.serial {
+		pol, workers, recordDAG = sched.Cilk, 1, false
+	}
+	plan := faultinject.ForRun(key.bench, key.policy, key.p, key.seed, key.serial)
 	w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
 	arena := arenas.Get().(*core.Arena)
 	completed, verified := false, false
@@ -287,29 +295,36 @@ func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Opti
 			lease.Discard()
 		}
 	}()
-	rt := newRuntime(opt.Topology, opt.P, pol, opt.Seed, opt.RecordDAG, arena, interruptFor(rctx))
+	rt := newRuntime(opt.Topology, workers, pol, opt.Seed, recordDAG, arena, interruptFor(rctx), tracer)
 	w.Prepare(rt)
-	rep := rt.Run(faultinject.Instrument(plan, w.Root()))
-	completed = true
-	if opt.Verify {
-		if err := w.Verify(); err != nil {
-			return nil, verifyError(key, fmt.Errorf("harness: %s on %v at P=%d: %w", spec.Name, pol, opt.P, err))
-		}
+	root := faultinject.Instrument(plan, w.Root())
+	var rep *core.Report
+	if key.serial {
+		rep = rt.RunSerial(root)
+	} else {
+		rep = rt.Run(root)
 	}
-	if plan != nil && plan.Kind == faultinject.FailVerify {
-		return nil, verifyError(key, fmt.Errorf("harness: %s on %v at P=%d: injected verification failure", spec.Name, pol, opt.P))
+	completed = true
+	var err error
+	if opt.Verify {
+		err = w.Verify()
+	}
+	if err == nil && plan != nil && plan.Kind == faultinject.FailVerify {
+		err = errors.New("injected verification failure")
+	}
+	if err != nil {
+		run := fmt.Sprintf("%s on %v at P=%d", spec.Name, pol, opt.P)
+		if key.serial {
+			run = spec.Name + " serial"
+		} else if tracer != nil {
+			run = fmt.Sprintf("%s traced on %v", spec.Name, pol)
+		}
+		// A verification mismatch is deterministic, so never retried.
+		return nil, &RunError{Bench: key.bench, Policy: key.policy, P: key.p, Seed: key.seed, Serial: key.serial,
+			Kind: KindVerify, Err: fmt.Errorf("harness: %s: %w", run, err)}
 	}
 	verified = true
 	return rep, nil
-}
-
-// verifyError types a verification mismatch as the deterministic,
-// non-retryable failure it is.
-func verifyError(key runKey, err error) *RunError {
-	return &RunError{
-		Bench: key.bench, Policy: key.policy, P: key.p, Seed: key.seed, Serial: key.serial,
-		Kind: KindVerify, Err: err,
-	}
 }
 
 // RunSerial measures TS for a spec (serial elision, baseline placement).
@@ -332,7 +347,7 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 	// next caller recomputes (pinned by TestRefCacheNotPoisonedByPanic).
 	attempt := func() (*core.Report, error) {
 		return attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
-			return runSerialOnce(rctx, spec, opt, key)
+			return simulate(rctx, spec, nil, opt, key, nil)
 		})
 	}
 	cache := workloads.SharedCache(spec)
@@ -349,41 +364,6 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 		return nil, err
 	}
 	return v.(*core.Report), nil
-}
-
-// runSerialOnce is one attempt of one serial-elision reference run, with
-// the same deferred settlement discipline as runParallelOnce. The serial
-// elision polls the interrupt hook at its Spawn/Compute edges, so serial
-// runs honor RunTimeout too.
-func runSerialOnce(rctx context.Context, spec Spec, opt Options, key runKey) (*core.Report, error) {
-	plan := faultinject.ForRun(spec.Name, "", 1, opt.Seed, true)
-	w, lease := workloads.Checkout(spec, false, opt.FreshInputs)
-	arena := arenas.Get().(*core.Arena)
-	completed, verified := false, false
-	defer func() {
-		if completed {
-			arenas.Put(arena)
-		}
-		if verified {
-			lease.Release()
-		} else {
-			lease.Discard()
-		}
-	}()
-	rt := newRuntime(opt.Topology, 1, sched.Cilk, opt.Seed, false, arena, interruptFor(rctx))
-	w.Prepare(rt)
-	rep := rt.RunSerial(faultinject.Instrument(plan, w.Root()))
-	completed = true
-	if opt.Verify {
-		if err := w.Verify(); err != nil {
-			return nil, verifyError(key, fmt.Errorf("harness: %s serial: %w", spec.Name, err))
-		}
-	}
-	if plan != nil && plan.Kind == faultinject.FailVerify {
-		return nil, verifyError(key, fmt.Errorf("harness: %s serial: injected verification failure", spec.Name))
-	}
-	verified = true
-	return rep, nil
 }
 
 // Measure runs the full Fig. 7/Fig. 8 protocol for one spec: TS, then T1
@@ -418,10 +398,13 @@ func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]api.Row, erro
 	runs := make([]specRuns, len(specs))
 	pool := exec.NewPool(ctx, opt.Jobs)
 	em := newEmitter(opt.OnRun)
-	jr := newJournaler(opt)
+	var cache ResultCache // nil: simulate every run, record nothing
+	if opt.Journal != nil || opt.Resume != nil {
+		cache = gridCache{resume: opt.Resume, w: opt.Journal}
+	}
 	idx := 0
 	for i := range specs {
-		runs[i].submit(ctx, pool, em, jr, &idx, specs[i], opt)
+		runs[i].submit(ctx, pool, em, cache, &idx, specs[i], opt)
 	}
 	if err := pool.Wait(ctx); err != nil {
 		return nil, err
@@ -466,8 +449,8 @@ func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points [
 // run report plus the recorded per-worker trace (see internal/trace). It
 // shares the containment boundary (a panicking run returns a *RunError
 // with its resources quarantined, never crashes the caller) but not the
-// retry loop: a trace is a one-off diagnostic, and retrying would splice
-// two attempts' timelines.
+// retry loop or opt.RunTimeout: a trace is a one-off diagnostic, and
+// retrying would splice two attempts' timelines.
 func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*core.Report, *trace.Timeline, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -476,42 +459,7 @@ func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*
 	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
 	tl := trace.New(opt.P)
 	rep, err := contain(ctx, key, func() (*core.Report, error) {
-		w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
-		arena := arenas.Get().(*core.Arena)
-		completed, verified := false, false
-		defer func() {
-			if completed {
-				arenas.Put(arena)
-			}
-			if verified {
-				lease.Release()
-			} else {
-				lease.Discard()
-			}
-		}()
-		rt := core.NewRuntime(core.Config{
-			Sched: sched.Config{
-				Topology:  opt.Topology,
-				Workers:   opt.P,
-				Policy:    pol,
-				Seed:      opt.Seed,
-				Tracer:    tl,
-				Interrupt: interruptFor(ctx),
-			},
-			Geometry: cache.DefaultGeometry(),
-			Latency:  cache.DefaultLatency(),
-			Arena:    arena,
-		})
-		w.Prepare(rt)
-		rep := rt.Run(w.Root())
-		completed = true
-		if opt.Verify {
-			if err := w.Verify(); err != nil {
-				return nil, verifyError(key, fmt.Errorf("harness: %s traced on %v: %w", spec.Name, pol, err))
-			}
-		}
-		verified = true
-		return rep, nil
+		return simulate(ctx, spec, pol, opt, key, tl)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -2,11 +2,11 @@ package harness
 
 // This file decomposes the measurement protocols into independent jobs for
 // the internal/exec worker pool. Each job is one full simulation with its
-// own workload and runtime; jobs write their measured totals into
-// pre-allocated slots, and the slots are folded into metrics rows in
-// canonical spec/platform/seed order after the pool drains, so the
-// aggregate is byte-identical to what the old serial loops produced.
-// Completed jobs are additionally streamed through the emitter
+// own workload and runtime, executed through ExecuteThrough; jobs write
+// their measured totals into pre-allocated slots, and the slots are folded
+// into metrics rows in canonical spec/platform/seed order after the pool
+// drains, so the aggregate is byte-identical to what the old serial loops
+// produced. Completed jobs are additionally streamed through the emitter
 // (Options.OnRun) in completion order, which is what Session.Each builds
 // on.
 //
@@ -33,25 +33,17 @@ import (
 	"repro/pkg/numaws/api"
 )
 
-// runResult is one completed run's measured totals — exactly the fields
+// resultOf extracts a run report's replayable totals — exactly the fields
 // the row fold consumes, and exactly what the journal persists, so a
 // replayed run is indistinguishable from a simulated one.
-type runResult struct {
-	time  int64
-	work  int64
-	sched int64
-	idle  int64
-}
-
-// resultOf extracts the fold inputs from a run report.
-func resultOf(rep *core.Report) runResult {
-	rr := runResult{time: rep.Time}
+func resultOf(rep *core.Report) journal.Result {
+	res := journal.Result{Time: rep.Time}
 	if rep.Sched != nil {
-		rr.work = rep.Sched.WorkTotal()
-		rr.sched = rep.Sched.SchedTotal()
-		rr.idle = rep.Sched.IdleTotal()
+		res.Work = rep.Sched.WorkTotal()
+		res.Sched = rep.Sched.SchedTotal()
+		res.Idle = rep.Sched.IdleTotal()
 	}
-	return rr
+	return res
 }
 
 // topologyKey is the journal's compact machine signature: the shape for
@@ -64,66 +56,39 @@ func topologyKey(top *topology.Topology) string {
 	return fmt.Sprintf("%dx%d-%016x", top.Sockets(), top.CoresPerSocket(), h.Sum64())
 }
 
-// journaler adapts Options.Journal/Options.Resume for the submission loop.
-// A nil journaler (no journal, no resume) is valid and inert.
-type journaler struct {
-	w      *journal.Writer
-	resume map[journal.Key]journal.Result
-	top    string
-}
-
-func newJournaler(opt Options) *journaler {
-	if opt.Journal == nil && opt.Resume == nil {
-		return nil
-	}
-	return &journaler{w: opt.Journal, resume: opt.Resume, top: topologyKey(opt.Topology)}
-}
-
-// key builds the run's full journal identity. Baseline is deliberately
-// absent: the baseline and policy columns of a cilk-vs-cilk comparison
-// measure the identical simulation, and the journal dedups by content.
-func (j *journaler) key(spec Spec, meta RunMeta, opt Options) journal.Key {
-	return journal.Key{
-		Gen: spec.Generation(), Bench: spec.Name, Input: spec.Input,
-		Scale: int(spec.SpecScale()), Topology: j.top,
-		Policy: meta.Policy, P: meta.P, Seed: meta.Seed,
-		Serial: meta.Serial, Verify: opt.Verify,
-	}
-}
-
-// lookup reports the journaled result for a key, if resuming and present.
-func (j *journaler) lookup(k journal.Key) (runResult, bool) {
-	if j == nil || j.resume == nil {
-		return runResult{}, false
-	}
-	res, ok := j.resume[k]
-	if !ok {
-		return runResult{}, false
-	}
-	return runResult{time: res.Time, work: res.Work, sched: res.Sched, idle: res.Idle}, true
-}
-
-// append durably journals one completed run. An I/O failure here is a
-// grid-level error: the journal's whole point is that recorded rows are
+// gridCache is the ResultCache MeasureAll executes through: Get reads
+// only Options.Resume and Put appends to Options.Journal, so the records
+// a grid writes are never read back within that grid. A Put I/O failure
+// is grid-level: the journal's whole point is that recorded rows are
 // trustworthy, so a grid that cannot record stops.
-func (j *journaler) append(k journal.Key, rr runResult) error {
-	if j == nil || j.w == nil {
+type gridCache struct {
+	resume map[journal.Key]journal.Result
+	w      *journal.Writer
+}
+
+func (c gridCache) Get(k journal.Key) (journal.Result, bool) {
+	res, ok := c.resume[k]
+	return res, ok
+}
+
+func (c gridCache) Put(k journal.Key, res journal.Result) error {
+	if c.w == nil {
 		return nil
 	}
-	return j.w.Write(k, journal.Result{Time: rr.time, Work: rr.work, Sched: rr.sched, Idle: rr.idle})
+	return c.w.Write(k, res)
 }
 
 // platformRuns holds one platform's measured totals for one spec: the
 // one-worker run plus one P-worker run per scheduler seed.
 type platformRuns struct {
-	t1    runResult
-	seeds []runResult
+	t1    journal.Result
+	seeds []journal.Result
 }
 
 // specRuns holds every slot needed to assemble one api.Row, plus the
 // spec's recorded failure (if any run of the spec failed).
 type specRuns struct {
-	ts       runResult
+	ts       journal.Result
 	baseline platformRuns // sched.Cilk, the classic work-stealing column
 	policy   platformRuns // opt.Policy, the NUMA-aware column
 
@@ -144,50 +109,39 @@ func (r *specRuns) recordFailure(idx int, re *RunError) {
 }
 
 // submit schedules the full Fig. 7/Fig. 8 protocol for one spec on the
-// pool: TS, then T1 and the per-seed TP runs on both platforms. idx
-// advances one slot per run (replayed or simulated) and orders failures
-// across specs the way the serial loops encountered them (TS first, then
-// baseline T1, baseline seeds, policy T1, policy seeds). Runs found in
-// the resume journal fill their slot immediately — emitted with
-// RunMeta.Replayed set — and submit no job.
-func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr *journaler, idx *int, spec Spec, opt Options) {
-	submit := func(slot *runResult, meta RunMeta, run func() (*core.Report, error)) {
+// pool: TS, then T1 and the per-seed TP runs on both platforms, each
+// through cache. idx advances one slot per run and orders failures across
+// specs the way the serial loops encountered them (TS first, then
+// baseline T1, baseline seeds, policy T1, policy seeds). A run the cache
+// already holds fills its slot without simulating and is emitted with
+// RunMeta.Replayed set.
+func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, cache ResultCache, idx *int, spec Spec, opt Options) {
+	// submit runs pol at o; a nil pol is the serial elision.
+	submit := func(slot *journal.Result, pol sched.Policy, o Options, baseline bool) {
+		meta := RunMeta{Bench: spec.Name, Policy: "serial", P: 1, Seed: o.Seed, Serial: pol == nil, Baseline: baseline}
+		if pol != nil {
+			meta.Policy, meta.P = pol.Name(), o.P
+		}
 		myIdx := *idx
 		*idx++
-		key := journal.Key{}
-		if jr != nil {
-			key = jr.key(spec, meta, opt)
-			if rr, ok := jr.lookup(key); ok {
-				*slot = rr
-				meta.Replayed = true
-				meta.Time = rr.time
-				em.emit(meta)
-				return
-			}
-		}
 		pool.Submit(ctx, myIdx, func() error {
-			rep, err := run()
+			res, hit, err := ExecuteThrough(ctx, cache, spec, pol, o, meta.Serial)
 			if err != nil {
 				var re *RunError
 				if errors.As(err, &re) && ctx.Err() == nil {
 					r.recordFailure(myIdx, re)
 					return nil // contained: the grid proceeds, the spec reports an error row
 				}
-				return err // grid-level: cancellation (or a non-run error) aborts the sweep
+				return err // grid-level: cancellation, journal I/O
 			}
-			rr := resultOf(rep)
-			if err := jr.append(key, rr); err != nil {
-				return err
-			}
-			*slot = rr
-			meta.Time = rr.time
+			*slot = res
+			meta.Replayed, meta.Time = hit, res.Time
 			em.emit(meta)
 			return nil
 		})
 	}
 
-	submit(&r.ts, RunMeta{Bench: spec.Name, Policy: "serial", P: 1, Seed: opt.Seed, Serial: true},
-		func() (*core.Report, error) { return RunSerial(ctx, spec, opt) })
+	submit(&r.ts, nil, opt, false)
 	for pi, pol := range []sched.Policy{sched.Cilk, opt.Policy} {
 		// Column position, not policy identity: with Policy: sched.Cilk the
 		// comparison degenerates to cilk-vs-cilk, and both columns must
@@ -196,17 +150,14 @@ func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr 
 		if pi == 1 {
 			pr = &r.policy
 		}
-		pr.seeds = make([]runResult, opt.Seeds)
-		pol, baseline := pol, pi == 0
+		pr.seeds = make([]journal.Result, opt.Seeds)
 		o1 := opt
 		o1.P = 1
-		submit(&pr.t1, RunMeta{Bench: spec.Name, Policy: pol.Name(), P: 1, Seed: opt.Seed, Baseline: baseline},
-			func() (*core.Report, error) { return RunOne(ctx, spec, pol, o1) })
-		for s := 0; s < opt.Seeds; s++ {
+		submit(&pr.t1, pol, o1, pi == 0)
+		for s := range opt.Seeds {
 			o := opt
 			o.Seed = opt.Seed + int64(s)
-			submit(&pr.seeds[s], RunMeta{Bench: spec.Name, Policy: pol.Name(), P: opt.P, Seed: o.Seed, Baseline: baseline},
-				func() (*core.Report, error) { return RunOne(ctx, spec, pol, o) })
+			submit(&pr.seeds[s], pol, o, pi == 0)
 		}
 	}
 }
@@ -214,13 +165,13 @@ func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr 
 // result folds one platform's totals into the averaged PlatformResult.
 func (p *platformRuns) result(seeds int) api.PlatformResult {
 	var pr api.PlatformResult
-	pr.T1 = p.t1.time
-	pr.W1 = p.t1.work
+	pr.T1 = p.t1.Time
+	pr.W1 = p.t1.Work
 	for _, rp := range p.seeds {
-		pr.TP += rp.time
-		pr.WP += rp.work
-		pr.SP += rp.sched
-		pr.IP += rp.idle
+		pr.TP += rp.Time
+		pr.WP += rp.Work
+		pr.SP += rp.Sched
+		pr.IP += rp.Idle
 	}
 	n := int64(seeds)
 	pr.TP /= n
@@ -245,7 +196,7 @@ func (r *specRuns) row(spec Spec, opt Options) api.Row {
 		Name:   spec.Name,
 		Input:  spec.Input,
 		P:      opt.P,
-		TS:     r.ts.time,
+		TS:     r.ts.Time,
 		Cilk:   r.baseline.result(opt.Seeds),
 		NUMAWS: r.policy.result(opt.Seeds),
 	}

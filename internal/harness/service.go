@@ -1,11 +1,11 @@
 package harness
 
-// This file is the sweep service's execute-through-cache seam
-// (internal/server): single runs addressed by their full journal key,
-// simulated only when a persistent result cache does not already hold
-// them. The key recipe is shared with the grid journaler in parallel.go,
-// so a service store and a -journal file are mutually intelligible — a
-// record written by either is a hit for both.
+// This file is the execute-through-cache seam every grid runs through:
+// single runs addressed by their full journal key (KeyFor, the one key
+// recipe), simulated only when a result cache does not already hold them.
+// The sweep service's store and MeasureAll's journal (gridCache) are both
+// ResultCaches, so a service store and a -journal file are mutually
+// intelligible — a record written by either is a hit for both.
 
 import (
 	"context"
@@ -25,11 +25,13 @@ type ResultCache interface {
 	Put(journal.Key, journal.Result) error
 }
 
-// KeyFor is the content address of one run: the exact key the grid
-// journaler writes (journaler.key), built from the run's spec, policy and
-// options. Serial runs pin Policy "serial" and P 1 — the serial elision
-// has no scheduler, so those axes are normalized, not echoed; pol is
-// ignored for them and may be nil.
+// KeyFor is the content address of one run, built from the run's spec,
+// policy and options; it is the only place a journal.Key is made. Serial
+// runs pin Policy "serial" and P 1 — the serial elision has no scheduler,
+// so those axes are normalized, not echoed; pol is ignored for them and
+// may be nil. Baseline is deliberately absent: the baseline and policy
+// columns of a cilk-vs-cilk comparison measure the identical simulation,
+// and the journal dedups by content.
 func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
 	opt = opt.fill()
 	policy, p := "serial", 1
@@ -58,8 +60,7 @@ func Execute(ctx context.Context, spec Spec, pol sched.Policy, opt Options, seri
 	if err != nil {
 		return journal.Result{}, err
 	}
-	rr := resultOf(rep)
-	return journal.Result{Time: rr.time, Work: rr.work, Sched: rr.sched, Idle: rr.idle}, nil
+	return resultOf(rep), nil
 }
 
 // ExecuteThrough is Execute behind a ResultCache: a key the cache holds
@@ -68,7 +69,6 @@ func Execute(ctx context.Context, spec Spec, pol sched.Policy, opt Options, seri
 // (contained *RunError, cancellation) are never cached — like the
 // journal, the cache holds only successes.
 func ExecuteThrough(ctx context.Context, c ResultCache, spec Spec, pol sched.Policy, opt Options, serial bool) (journal.Result, bool, error) {
-	opt = opt.fill()
 	if c == nil {
 		res, err := Execute(ctx, spec, pol, opt, serial)
 		return res, false, err

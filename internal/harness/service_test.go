@@ -2,35 +2,22 @@ package harness
 
 import (
 	"errors"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/sched"
+	"repro/internal/store"
 	"repro/internal/topology"
+	"repro/pkg/numaws/api"
 )
 
-// TestKeyForMatchesJournalerKey pins the seam the sweep service depends
-// on: KeyFor must produce byte-for-byte the key the grid journaler writes
-// for the same run, so a service store and a -journal file are mutually
-// intelligible.
-func TestKeyForMatchesJournalerKey(t *testing.T) {
-	spec := specByName(t, "fib")
-	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Verify: true}.fill()
-	jr := newJournaler(Options{Topology: opt.Topology, Resume: map[journal.Key]journal.Result{}})
-
-	par := jr.key(spec, RunMeta{Bench: spec.Name, Policy: sched.Cilk.Name(), P: opt.P, Seed: opt.Seed}, opt)
-	if got := KeyFor(spec, sched.Cilk, opt, false); got != par {
-		t.Errorf("parallel key mismatch:\n KeyFor    %+v\n journaler %+v", got, par)
-	}
-
-	ser := jr.key(spec, RunMeta{Bench: spec.Name, Policy: "serial", P: 1, Seed: opt.Seed, Serial: true}, opt)
-	if got := KeyFor(spec, nil, opt, true); got != ser {
-		t.Errorf("serial key mismatch:\n KeyFor    %+v\n journaler %+v", got, ser)
-	}
-}
-
-// memCache is an in-memory ResultCache recording its traffic.
+// memCache is an in-memory ResultCache recording its traffic. Pool
+// workers call it concurrently, so every access holds the mutex.
 type memCache struct {
+	mu   sync.Mutex
 	m    map[journal.Key]journal.Result
 	puts int
 	fail error
@@ -39,17 +26,94 @@ type memCache struct {
 func newMemCache() *memCache { return &memCache{m: map[journal.Key]journal.Result{}} }
 
 func (c *memCache) Get(k journal.Key) (journal.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.m[k]
 	return r, ok
 }
 
 func (c *memCache) Put(k journal.Key, r journal.Result) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.fail != nil {
 		return c.fail
 	}
 	c.m[k] = r
 	c.puts++
 	return nil
+}
+
+// TestJournalRecordsServeTheStore pins that a -journal file and a sweep
+// service store read each other's records: every serial, T1 and TP run of
+// a grid journaled by MeasureAll is a store hit through ExecuteThrough,
+// with the totals the grid folded and no simulation.
+func TestJournalRecordsServeTheStore(t *testing.T) {
+	specs := []Spec{specByName(t, "fib"), specByName(t, "cilksort")}
+	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Seeds: 2, Verify: true, Jobs: 2}
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	jw, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = jw
+	rows, err := MeasureAll(t.Context(), specs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = nil
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	// Any simulation now panics, and fresh inputs bypass the serial
+	// reference memo: only the store can answer.
+	faultinject.Arm(faultinject.Plan{Kind: faultinject.PanicAtTask})
+	defer faultinject.Disarm()
+	opt.FreshInputs = true
+	for i, spec := range specs {
+		row := rows[i]
+		if row.Err != nil {
+			t.Fatalf("%s: %v", spec.Name, row.Err)
+		}
+		hit := func(pol sched.Policy, o Options, serial bool) int64 {
+			t.Helper()
+			res, hit, err := ExecuteThrough(t.Context(), st, spec, pol, o, serial)
+			if err != nil || !hit {
+				t.Fatalf("%s %v serial=%v P=%d seed=%d: hit=%v err=%v", spec.Name, pol, serial, o.P, o.Seed, hit, err)
+			}
+			return res.Time
+		}
+		if ts := hit(nil, opt, true); ts != row.TS {
+			t.Errorf("%s TS: store %d, grid %d", spec.Name, ts, row.TS)
+		}
+		for _, col := range []struct {
+			pol sched.Policy
+			pr  api.PlatformResult
+		}{{sched.Cilk, row.Cilk}, {sched.NUMAWS, row.NUMAWS}} {
+			o1 := opt
+			o1.P = 1
+			if t1 := hit(col.pol, o1, false); t1 != col.pr.T1 {
+				t.Errorf("%s %v T1: store %d, grid %d", spec.Name, col.pol, t1, col.pr.T1)
+			}
+			var total int64
+			for s := range opt.Seeds {
+				o := opt
+				o.Seed = opt.Seed + int64(s)
+				total += hit(col.pol, o, false)
+			}
+			if tp := total / int64(opt.Seeds); tp != col.pr.TP {
+				t.Errorf("%s %v TP: store %d, grid %d", spec.Name, col.pol, tp, col.pr.TP)
+			}
+		}
+	}
+	if c := st.Counters(); c.Puts != 0 || c.Misses != 0 || c.Hits != 14 {
+		t.Errorf("store traffic: %+v, want 14 hits and nothing else", c)
+	}
 }
 
 func TestExecuteThroughCachesRuns(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/pkg/numaws/api"
 )
@@ -91,6 +92,57 @@ func machinePoints(name string, top *topology.Topology, points []int) ([]int, er
 	return out, nil
 }
 
+// cell is one averaged measurement of a sweep or tournament grid: spec
+// under pol on top at p workers.
+type cell struct {
+	spec Spec
+	pol  sched.Policy
+	top  *topology.Topology
+	p    int
+}
+
+// meanTP runs every cell at opt.Seeds scheduler seeds (opt.Seed,
+// opt.Seed+1, ...) on an opt.Jobs-worker pool, each run through
+// ExecuteThrough over cache (nil simulates every run), and returns each
+// cell's TP averaged over the seeds. Submission indices are cell-major and
+// seed-minor, so the first failure reported is the one a serial loop
+// would hit. Any failure — a contained *RunError included — aborts the
+// grid; cancelling ctx skips every simulation not yet started and returns
+// the context's error.
+func meanTP(ctx context.Context, cells []cell, cache ResultCache, opt Options) ([]int64, error) {
+	times := make([]int64, len(cells)*opt.Seeds)
+	pool := exec.NewPool(ctx, opt.Jobs)
+	em := newEmitter(opt.OnRun)
+	for i, c := range cells {
+		for sd := range opt.Seeds {
+			k := i*opt.Seeds + sd
+			o := opt
+			o.Topology, o.P, o.Seed = c.top, c.p, opt.Seed+int64(sd)
+			pool.Submit(ctx, k, func() error {
+				res, _, err := ExecuteThrough(ctx, cache, c.spec, c.pol, o, false)
+				if err != nil {
+					return err
+				}
+				times[k] = res.Time
+				em.emit(RunMeta{Bench: c.spec.Name, Policy: c.pol.Name(), P: o.P, Seed: o.Seed, Time: res.Time})
+				return nil
+			})
+		}
+	}
+	if err := pool.Wait(ctx); err != nil {
+		return nil, err
+	}
+	means := make([]int64, len(cells))
+	for i := range cells {
+		var total int64
+		for _, t := range times[i*opt.Seeds : (i+1)*opt.Seeds] {
+			total += t
+		}
+		means[i] = total / int64(opt.Seeds)
+	}
+	return means, nil
+}
+
 // MeasureTopologies runs the scalability protocol for every spec on every
 // machine under opt.Policy: TP at each worker point, averaged over
 // opt.Seeds scheduler seeds. points nil derives each machine's axis with
@@ -105,66 +157,36 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 		return nil, fmt.Errorf("harness: no machines to sweep")
 	}
 	axes := make([][]int, len(machines))
+	var cells []cell
 	for m, mach := range machines {
 		axis, err := machinePoints(mach.Name, mach.Top, points)
 		if err != nil {
 			return nil, err
 		}
 		axes[m] = axis
-	}
-	// times[m][i][j][k]: machine m, spec i, point j, seed k.
-	times := make([][][][]int64, len(machines))
-	pool := exec.NewPool(ctx, opt.Jobs)
-	em := newEmitter(opt.OnRun)
-	idx := 0
-	for m, mach := range machines {
-		times[m] = make([][][]int64, len(specs))
-		for i, spec := range specs {
-			times[m][i] = make([][]int64, len(axes[m]))
-			for j, p := range axes[m] {
-				times[m][i][j] = make([]int64, opt.Seeds)
-				for sd := 0; sd < opt.Seeds; sd++ {
-					spec, slot := spec, &times[m][i][j][sd]
-					o := opt
-					o.Topology = mach.Top
-					o.P = p
-					o.Seed = opt.Seed + int64(sd)
-					pool.Submit(ctx, idx, func() error {
-						rep, err := RunOne(ctx, spec, o.Policy, o)
-						if err != nil {
-							return err
-						}
-						*slot = rep.Time
-						em.emit(RunMeta{Bench: spec.Name, Policy: o.Policy.Name(),
-							P: o.P, Seed: o.Seed, Time: rep.Time})
-						return nil
-					})
-					idx++
-				}
+		for _, spec := range specs {
+			for _, p := range axis {
+				cells = append(cells, cell{spec: spec, pol: opt.Policy, top: mach.Top, p: p})
 			}
 		}
 	}
-	if err := pool.Wait(ctx); err != nil {
+	tp, err := meanTP(ctx, cells, nil, opt)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]api.SweepCurve, 0, len(machines)*len(specs))
 	for m, mach := range machines {
-		for i, spec := range specs {
-			s := api.SweepCurve{
+		for _, spec := range specs {
+			n := len(axes[m])
+			out = append(out, api.SweepCurve{
 				Bench:    spec.Name,
 				Topology: mach.Name,
 				Sockets:  mach.Top.Sockets(),
 				Cores:    mach.Top.Cores(),
 				P:        axes[m],
-			}
-			for j := range axes[m] {
-				var total int64
-				for _, t := range times[m][i][j] {
-					total += t
-				}
-				s.TP = append(s.TP, total/int64(opt.Seeds))
-			}
-			out = append(out, s)
+				TP:       tp[:n:n], // capacity-limited: a caller's append cannot reach the next curve
+			})
+			tp = tp[n:]
 		}
 	}
 	return out, nil

@@ -83,6 +83,13 @@ func TestMeasureTopologiesShape(t *testing.T) {
 			t.Errorf("%s@%s has non-positive T1", s.Bench, s.Topology)
 		}
 	}
+	// Each curve owns its TP: a caller's append to one cannot write into
+	// the next.
+	next := append([]int64(nil), sweeps[1].TP...)
+	_ = append(sweeps[0].TP, -1)
+	if !reflect.DeepEqual(sweeps[1].TP, next) {
+		t.Errorf("append to curve 0's TP changed curve 1's: %v, was %v", sweeps[1].TP, next)
+	}
 	// Points beyond a machine's core count are clipped, and 1 is always
 	// re-added as the speedup base.
 	clipped, err := MeasureTopologies(t.Context(), specs[:1], machines[:1], opt, []int{4, 99})

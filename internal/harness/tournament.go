@@ -5,16 +5,15 @@ package harness
 // normalized-geomean score. Each cell runs at the machine's full core
 // count (the canonical whole-machine comparison; a fixed P would bias the
 // grid toward machines it happens to fit) and is averaged over opt.Seeds
-// scheduler seeds, exactly like MeasureTopologies. Runs go through the
-// optional ResultCache — the same journal-keyed store the sweep service
-// executes through — so a repeated tournament over a warm store simulates
-// nothing.
+// scheduler seeds through the same fan-out as MeasureTopologies (meanTP).
+// Runs go through the optional ResultCache — the same journal-keyed
+// store the sweep service executes through — so a repeated tournament
+// over a warm store simulates nothing.
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/pkg/numaws/api"
@@ -43,57 +42,24 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		}
 		seen[pol.Name()] = true
 	}
-	// times[k][sd]: cell k = ((pol * specs) + spec) * machines + machine.
-	cellOf := func(pi, si, mi int) int { return (pi*len(specs)+si)*len(machines) + mi }
-	times := make([][]int64, len(pols)*len(specs)*len(machines))
-	pool := exec.NewPool(ctx, opt.Jobs)
-	em := newEmitter(opt.OnRun)
-	idx := 0
-	for pi, pol := range pols {
-		for si, spec := range specs {
-			for mi, mach := range machines {
-				cell := &times[cellOf(pi, si, mi)]
-				*cell = make([]int64, opt.Seeds)
-				for sd := 0; sd < opt.Seeds; sd++ {
-					pol, spec, mach, slot := pol, spec, mach, &(*cell)[sd]
-					o := opt
-					o.Topology = mach.Top
-					o.P = mach.Top.Cores()
-					o.Seed = opt.Seed + int64(sd)
-					pool.Submit(ctx, idx, func() error {
-						res, _, err := ExecuteThrough(ctx, cache, spec, pol, o, false)
-						if err != nil {
-							return err
-						}
-						*slot = res.Time
-						em.emit(RunMeta{Bench: spec.Name, Policy: pol.Name(),
-							P: o.P, Seed: o.Seed, Time: res.Time})
-						return nil
-					})
-					idx++
-				}
+	var cells []cell
+	var raw []metrics.RawCell
+	for _, pol := range pols {
+		for _, spec := range specs {
+			for _, mach := range machines {
+				cells = append(cells, cell{spec: spec, pol: pol, top: mach.Top, p: mach.Top.Cores()})
+				raw = append(raw, metrics.RawCell{Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name})
 			}
 		}
 	}
-	if err := pool.Wait(ctx); err != nil {
+	tp, err := meanTP(ctx, cells, cache, opt)
+	if err != nil {
 		return api.Tournament{}, err
 	}
-	cells := make([]metrics.RawCell, 0, len(times))
-	for pi, pol := range pols {
-		for si, spec := range specs {
-			for mi, mach := range machines {
-				var total int64
-				for _, t := range times[cellOf(pi, si, mi)] {
-					total += t
-				}
-				cells = append(cells, metrics.RawCell{
-					Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name,
-					TP: total / int64(opt.Seeds),
-				})
-			}
-		}
+	for k := range raw {
+		raw[k].TP = tp[k]
 	}
-	return metrics.NewTournament(cells)
+	return metrics.NewTournament(raw)
 }
 
 // RegisteredPolicies resolves every registered policy, in registry (name)

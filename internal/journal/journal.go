@@ -12,7 +12,8 @@
 // The checksum guards the only corruption append-only files suffer in
 // practice: a torn final line from a crash mid-write. Replay stops at the
 // first record that fails to parse or checksum and returns what preceded
-// it; the writer appends from there, so the torn tail is simply re-measured.
+// it; Resume truncates the torn tail and appends from there, so it is
+// simply re-measured.
 //
 // Keys carry the full run tuple plus the workload-registry generation:
 // a journal written under one registry population never replays into a
@@ -91,6 +92,28 @@ func Append(path string) (*Writer, error) {
 	return open(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY)
 }
 
+// Resume is the resume path in full: it replays path with
+// ReplayWithStats, truncates a torn or corrupt tail to the trusted prefix
+// (ReplayStats.Tail), and opens the file for appending. Without the
+// truncation new records would land after a line every later replay stops
+// at, and a resumed grid would lose everything it recorded.
+func Resume(path string) (map[Key]Result, ReplayStats, *Writer, error) {
+	recs, st, err := ReplayWithStats(path)
+	if err != nil {
+		return nil, st, nil, err
+	}
+	if st.Skipped > 0 {
+		if err := os.Truncate(path, st.Tail); err != nil {
+			return nil, st, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+		}
+	}
+	w, err := Append(path)
+	if err != nil {
+		return nil, st, nil, err
+	}
+	return recs, st, w, nil
+}
+
 func open(path string, flag int) (*Writer, error) {
 	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
@@ -163,9 +186,9 @@ type ReplayStats struct {
 	// torn or corrupt record.
 	Skipped int
 	// Tail is the byte offset where the trusted prefix ends — the start
-	// of the first discarded line. The store truncates the file here
-	// before appending, so new records are never written beyond a line a
-	// future replay would refuse to read past.
+	// of the first discarded line. Resume truncates the file here before
+	// appending, so new records are never written beyond a line a future
+	// replay would refuse to read past.
 	Tail int64
 }
 

@@ -389,3 +389,46 @@ func TestReplayWithStatsTornTail(t *testing.T) {
 		t.Errorf("Tail = %d, want %d (end of the intact first record)", st.Tail, len(lines[0]))
 	}
 }
+
+// TestResumeTruncatesTornTail pins the resume path: a record written after
+// Resume healed a torn tail is readable by the next replay, which finds
+// nothing to skip.
+func TestResumeTruncatesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(key(0), result(0)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"crc":1,"rec":{"tor`)
+	f.Close()
+
+	got, st, w, err := Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || st.Records != 1 || st.Skipped != 1 {
+		t.Errorf("first resume: got %d records, stats %+v", len(got), st)
+	}
+	if err := w.Write(key(1), result(1)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	got, st, w, err = Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	want := map[Key]Result{key(0): result(0), key(1): result(1)}
+	if !reflect.DeepEqual(got, want) || st.Skipped != 0 {
+		t.Errorf("second resume: got %v, stats %+v; want both records and nothing skipped", got, st)
+	}
+}

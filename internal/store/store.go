@@ -7,17 +7,15 @@
 // and a registry or topology change changes the key instead of serving a
 // stale row.
 //
-// Open replays the file with the journal's torn-tail-tolerant reader and,
-// when corruption was found, truncates the file to the trusted prefix
-// before appending: the tail is discarded once (counted in Counters, so
-// /statusz can report it) and later appends extend a clean file —
-// appending past a corrupt line would write records no future replay
-// could reach.
+// Open replays the file with journal.Resume, which, when corruption was
+// found, truncates the file to the trusted prefix before appending: the
+// tail is discarded once (counted in Counters, so /statusz can report it)
+// and later appends extend a clean file — appending past a corrupt line
+// would write records no future replay could reach.
 package store
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/journal"
@@ -52,16 +50,7 @@ type Store struct {
 // Open replays path (a missing file is an empty store), heals a torn tail
 // by truncating to the trusted prefix, and opens the file for appending.
 func Open(path string) (*Store, error) {
-	idx, st, err := journal.ReplayWithStats(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if st.Skipped > 0 {
-		if err := os.Truncate(path, st.Tail); err != nil {
-			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
-		}
-	}
-	w, err := journal.Append(path)
+	idx, st, w, err := journal.Resume(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}

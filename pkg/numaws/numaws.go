@@ -286,7 +286,8 @@ func WithJournal(path string) Option {
 // WithResume replays the WithJournal file's completed runs instead of
 // re-simulating them: runs whose full key is journaled fill from the
 // journal (streamed through Each with Run.Replayed set), only the missing
-// tuples simulate, and new completions extend the same file. Because every
+// tuples simulate, and new completions extend the same file (a torn or
+// corrupt tail is truncated first, so they stay readable). Because every
 // simulation is deterministic, a resumed grid's rows are identical to an
 // uninterrupted run's. Requires WithJournal; a missing journal file is an
 // empty journal, not an error.
@@ -365,10 +366,7 @@ func New(opts ...Option) (*Session, error) {
 	}
 	if c.journal != "" {
 		if c.resume {
-			if s.replay, s.rstats, err = journal.ReplayWithStats(c.journal); err != nil {
-				return nil, fmt.Errorf("numaws: %w", err)
-			}
-			s.jw, err = journal.Append(c.journal)
+			s.replay, s.rstats, s.jw, err = journal.Resume(c.journal)
 		} else {
 			s.jw, err = journal.Create(c.journal)
 		}
@@ -387,7 +385,8 @@ func (s *Session) Close() error { return s.jw.Close() }
 // ReplayStats reports what WithResume found in the journal: how many
 // completed runs it replayed, and how many trailing lines it discarded as
 // torn or corrupt (everything from the first unreadable record on — a
-// resume silently re-measures that tail, so callers surface the count).
+// resume truncates and re-measures that tail, so callers surface the
+// count).
 // Both are zero for sessions built without WithResume.
 func (s *Session) ReplayStats() (replayed, skipped int) {
 	return s.rstats.Records, s.rstats.Skipped
