@@ -190,9 +190,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "numaws: -jobs %d clamped to 1 (need at least one host worker)\n", *jobs)
 		*jobs = 1
 	}
-	if *p < 0 {
-		return fail(fmt.Errorf("-p %d must be positive (or 0 for the whole machine)", *p))
-	}
 	if *seeds < 1 {
 		// Unlike -jobs (a host-side knob that cannot change results, so a
 		// clamp-with-warning suffices), -seeds changes what is measured:
@@ -258,9 +255,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "numaws: note: the NWS/numaws columns carry policy %q for this run\n", *policy)
 	}
 
-	kind, known := subcommands[cmd]
-	if !known {
-		return fail(unknownSubcommand(cmd))
+	kind, err := lookupSubcommand(cmd)
+	if err != nil {
+		return fail(err)
 	}
 	// Go's flag package stops at the first positional argument, so a flag
 	// placed after the subcommand would be silently ignored — reject it
@@ -424,26 +421,43 @@ func startProfiles(cpu, mem string) (func() error, error) {
 // measures says which result kinds a subcommand produces.
 type measures struct{ rows, series, sweeps, tour bool }
 
-// subcommands is the authoritative registry: every subcommand run()
-// handles, mapped to what it measures. Validity checks, the usage
-// message, and the export sinks derive from it; -json/-csv problems
-// (non-measuring subcommand, unwritable path) are rejected up front,
-// before hours of simulation.
-var subcommands = map[string]measures{
-	"fig1": {}, "fig6": {}, "dag": {}, "timeline": {},
-	// serve and query are dispatched before the Session is built (they
-	// talk to the sweep service, exporting nothing locally); they are
-	// registered here so the usage text and unknown-subcommand listing
-	// stay complete.
-	"serve": {}, "query": {},
-	"fig3":       {rows: true},
-	"table7":     {rows: true},
-	"table8":     {rows: true},
-	"tables":     {rows: true},
-	"fig9":       {series: true},
-	"sweep":      {sweeps: true},
-	"tournament": {tour: true},
-	"all":        {rows: true, series: true},
+// subcommands is the authoritative registry, in usage order: every
+// subcommand run() handles, its one-line help, and what it measures.
+// Validity checks, the usage message, and the export sinks derive from it;
+// -json/-csv problems (non-measuring subcommand, unwritable path) are
+// rejected up front, before hours of simulation. serve and query are
+// dispatched before the Session is built (they talk to the sweep service,
+// exporting nothing locally); they are registered so the usage text and
+// unknown-subcommand listing stay complete.
+var subcommands = []struct {
+	name, help string
+	kind       measures
+}{
+	{"fig1", "print the evaluation machine's topology (Fig. 1)", measures{}},
+	{"fig3", "normalized processing times on Cilk Plus (Fig. 3)", measures{rows: true}},
+	{"fig6", "Z-Morton and blocked Z-Morton index grids (Fig. 6)", measures{}},
+	{"table7", "TS / T1 / TP execution times on both platforms (Fig. 7)", measures{rows: true}},
+	{"table8", "work / scheduling / idle breakdown and inflation (Fig. 8)", measures{rows: true}},
+	{"tables", "table7 and table8 from one measured grid", measures{rows: true}},
+	{"fig9", "scalability curves (Fig. 9)", measures{series: true}},
+	{"dag", "measured work, span and parallelism per benchmark (Section IV)", measures{}},
+	{"timeline", "per-worker execution timeline under both schedulers", measures{}},
+	{"sweep", "speedup curves across a grid of machine topologies", measures{sweeps: true}},
+	{"tournament", "rank every registered scheduling policy over a benchmark x topology grid", measures{tour: true}},
+	{"serve", "run the deduplicating sweep service (HTTP/JSON, NDJSON streams)", measures{}},
+	{"query", "stream a grid from a running sweep service", measures{}},
+	{"all", "everything above except sweep, tournament, serve and query", measures{rows: true, series: true}},
+}
+
+// printUsage is the top-level -h text: the subcommand list first (the
+// thing flag's default usage never shows), then the global flags.
+func printUsage(fs *flag.FlagSet, w io.Writer) {
+	fmt.Fprintf(w, "Usage: numaws [flags] <subcommand>\n\nSubcommands:\n")
+	for _, sc := range subcommands {
+		fmt.Fprintf(w, "  %-9s %s\n", sc.name, sc.help)
+	}
+	fmt.Fprintf(w, "\nGlobal flags (before the subcommand; sweep, tournament, serve and query take their own flags after their name — see numaws <subcommand> -h):\n")
+	fs.PrintDefaults()
 }
 
 // sweepArgs carries the sweep subcommand's parsed flags.
@@ -484,14 +498,9 @@ func parseSweepArgs(args []string, jsonDefault, csvDefault, cpuDefault, memDefau
 		return nil, fmt.Errorf("sweep: -topology %s conflicts with sweep -topologies %s; pass only one", globalTopo, *topos)
 	}
 	sw := &sweepArgs{json: *jsonPath, csv: *csvPath, cpu: *cpuProfile, mem: *memProfile, topos: splitList(*topos)}
-	if *points != "" {
-		for _, s := range splitList(*points) {
-			p, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: bad -points entry %q", s)
-			}
-			sw.points = append(sw.points, p)
-		}
+	var err error
+	if sw.points, err = intList[int]("sweep", "points", *points); err != nil {
+		return nil, err
 	}
 	if *bench == "" {
 		// Default to the Fig. 9 curve set: the benchmarks the paper plots
@@ -551,6 +560,21 @@ func splitList(s string) []string {
 	return out
 }
 
+// intList parses a comma-separated list of integers, the value of
+// subcommand cmd's -name flag; a malformed or out-of-range entry is an
+// error naming the flag.
+func intList[T int | int64](cmd, name, s string) ([]T, error) {
+	var out []T
+	for _, e := range splitList(s) {
+		v, err := strconv.ParseInt(e, 10, 64)
+		if err != nil || int64(T(v)) != v {
+			return nil, fmt.Errorf("%s: bad -%s entry %q", cmd, name, e)
+		}
+		out = append(out, T(v))
+	}
+	return out, nil
+}
+
 // seriesCSVPath derives the sibling file the series table lands in when
 // one -csv path must carry both kinds: out.csv -> out.series.csv.
 func seriesCSVPath(path string) string {
@@ -558,13 +582,18 @@ func seriesCSVPath(path string) string {
 	return strings.TrimSuffix(path, ext) + ".series" + ext
 }
 
-func unknownSubcommand(cmd string) error {
-	names := make([]string, 0, len(subcommands))
-	for name := range subcommands {
-		names = append(names, name)
+// lookupSubcommand returns what cmd measures, or an error listing every
+// registered subcommand.
+func lookupSubcommand(cmd string) (measures, error) {
+	names := make([]string, len(subcommands))
+	for i, sc := range subcommands {
+		if sc.name == cmd {
+			return sc.kind, nil
+		}
+		names[i] = sc.name
 	}
 	sort.Strings(names)
-	return fmt.Errorf("unknown subcommand %q (want %s)", cmd, strings.Join(names, ", "))
+	return measures{}, fmt.Errorf("unknown subcommand %q (want %s)", cmd, strings.Join(names, ", "))
 }
 
 // export accumulates the measurements the executed subcommands produced,
@@ -817,7 +846,7 @@ func (a *app) run(ctx context.Context, cmd string, sw *sweepArgs) error {
 			fmt.Fprintln(w)
 		}
 	default:
-		return unknownSubcommand(cmd)
+		return fmt.Errorf("subcommand %q has no handler", cmd)
 	}
 	return nil
 }

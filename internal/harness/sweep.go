@@ -17,34 +17,6 @@ import (
 	"repro/pkg/numaws/api"
 )
 
-// Machine names one topology of a sweep grid.
-type Machine struct {
-	Name string
-	Top  *topology.Topology
-}
-
-// Machines resolves topology specs (preset names or SxC shapes; see
-// topology.Parse) into sweep machines, rejecting unknown or duplicate names.
-func Machines(specs []string) ([]Machine, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("harness: no topologies given")
-	}
-	seen := make(map[string]bool, len(specs))
-	out := make([]Machine, 0, len(specs))
-	for _, spec := range specs {
-		if seen[spec] {
-			return nil, fmt.Errorf("harness: duplicate topology %q", spec)
-		}
-		seen[spec] = true
-		top, err := topology.Parse(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Machine{Name: spec, Top: top})
-	}
-	return out, nil
-}
-
 // SweepPoints derives a machine's worker-count axis the way Fig. 9 chose the
 // paper machine's {1, 8, 16, 24, 32}: one worker, then the quarter points of
 // the whole machine. Machines too small for distinct quarters degenerate

@@ -35,12 +35,12 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 	if len(machines) == 0 {
 		return api.Tournament{}, fmt.Errorf("harness: tournament needs at least one machine")
 	}
-	seen := make(map[string]bool, len(pols))
-	for _, pol := range pols {
-		if seen[pol.Name()] {
-			return api.Tournament{}, fmt.Errorf("harness: tournament policy %q named twice", pol.Name())
-		}
-		seen[pol.Name()] = true
+	names := make([]string, len(pols))
+	for i, pol := range pols {
+		names[i] = pol.Name()
+	}
+	if err := distinct("policies", names); err != nil {
+		return api.Tournament{}, err
 	}
 	var cells []cell
 	var raw []metrics.RawCell
@@ -60,21 +60,4 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		raw[k].TP = tp[k]
 	}
 	return metrics.NewTournament(raw)
-}
-
-// RegisteredPolicies resolves every registered policy, in registry (name)
-// order — the tournament's default contestant list.
-func RegisteredPolicies() []sched.Policy {
-	names := sched.Names()
-	out := make([]sched.Policy, len(names))
-	for i, n := range names {
-		pol, err := sched.Lookup(n)
-		if err != nil {
-			// Names and Lookup read the same registry; a miss here is a
-			// registry bug, not a caller error.
-			panic(err)
-		}
-		out[i] = pol
-	}
-	return out
 }

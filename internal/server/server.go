@@ -148,22 +148,6 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	if len(polNames) == 0 {
 		polNames = sched.Names()
 	}
-	// The ranking needs exactly one measurement per (policy, bench,
-	// topology, seed); a duplicated axis entry would double cells, so it
-	// is rejected up front rather than surfacing as a ranking error after
-	// the grid already streamed.
-	for axis, vals := range map[string][]string{
-		"benches": req.Benches, "topologies": req.Topologies, "policies": polNames,
-	} {
-		seen := make(map[string]bool, len(vals))
-		for _, v := range vals {
-			if seen[v] {
-				http.Error(w, fmt.Sprintf("duplicate %s entry %q", axis, v), http.StatusBadRequest)
-				return
-			}
-			seen[v] = true
-		}
-	}
 	runs, err := s.expand(api.GridRequest{
 		Benches: req.Benches, Topologies: req.Topologies, Policies: polNames,
 		Seeds: req.Seeds, Scale: req.Scale, Verify: req.Verify,
@@ -179,8 +163,9 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 		}
 		ranking, err := rank(rows)
 		if err != nil {
-			// Unreachable with the duplicate-axis check above; ending the
-			// stream without its trailer is the in-band abort signal.
+			// Unreachable: expand rejects the duplicated axis entries that
+			// would double cells. Ending the stream without its trailer is
+			// the in-band abort signal.
 			s.logf("numaws: tournament ranking: %v", err)
 			return nil
 		}
@@ -298,7 +283,7 @@ func rank(rows []*api.GridRow) ([]api.TournamentRank, error) {
 func (s *Server) runOne(ctx context.Context, rn runSpec) (*api.GridRow, error) {
 	row := &api.GridRow{
 		Bench: rn.spec.Name, Input: rn.spec.Input, Scale: rn.scaleName,
-		Topology: rn.topoName, Policy: rn.polName, P: rn.p, Seed: rn.seed,
+		Topology: rn.machine.Name, Policy: rn.polName, P: rn.p, Seed: rn.seed,
 		Serial: rn.serial,
 	}
 	res, cached, err := s.result(ctx, rn)
@@ -321,7 +306,7 @@ func (s *Server) runOne(ctx context.Context, rn runSpec) (*api.GridRow, error) {
 // bool is true when this request did not simulate (store hit or a
 // coalesced ride on another request's run).
 func (s *Server) result(ctx context.Context, rn runSpec) (journal.Result, bool, error) {
-	opt := harness.Options{Topology: rn.top, P: rn.p, Seed: rn.seed, Verify: rn.verify}
+	opt := harness.Options{Topology: rn.machine.Top, P: rn.p, Seed: rn.seed, Verify: rn.verify}
 	key := harness.KeyFor(rn.spec, rn.pol, opt, rn.serial)
 	if res, ok := s.st.Get(key); ok {
 		s.hits.Add(1)
@@ -382,7 +367,7 @@ func (s *Server) handleAxes(w http.ResponseWriter, r *http.Request) {
 		Benches:    workloads.Names(),
 		Topologies: topology.Presets(),
 		Policies:   sched.Names(),
-		Scales:     []string{"small", "full"},
+		Scales:     harness.ScaleNames(),
 	})
 }
 

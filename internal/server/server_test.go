@@ -384,6 +384,36 @@ func TestOversizedGridIsRejectedBeforeExpansion(t *testing.T) {
 	}
 }
 
+// TestGridRejectsRepeatedNamesAndHugeShapes: /v1/grid answers a benchmark,
+// topology or policy named twice with a 400, as /v1/tournament does, and a
+// topology shape past the topology package's caps with a 400 that costs
+// about what decoding the body costs — a 20-byte body must not be able to
+// ask for a 100000-socket distance matrix or 10^8 workers.
+func TestGridRejectsRepeatedNamesAndHugeShapes(t *testing.T) {
+	srv, _ := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	defer srv.Close()
+	h := srv.Handler()
+	for _, tc := range []struct{ body, want string }{
+		{`{"benches":["fib","fib"],"scale":"small"}`, `duplicate benches entry "fib"`},
+		{`{"topologies":["2x4","2x4"],"scale":"small"}`, `duplicate topologies entry "2x4"`},
+		{`{"policies":["cilk","cilk"],"scale":"small"}`, `duplicate policies entry "cilk"`},
+		{`{"topologies":["100000x1"]}`, "exceeds the limit"},
+		{`{"topologies":["1x100000000"]}`, "exceeds the limit"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", strings.NewReader(tc.body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d body %q, want 400 naming %q", tc.body, rec.Code, rec.Body.String(), tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting it allocated %d bytes", tc.body, got)
+		}
+	}
+}
+
 // TestStatuszReportsCountersAndCorruption drives the observability
 // surface: /healthz answers, /v1/axes lists the accepted axis values, and
 // /statusz accounts for the traffic — including torn-tail corruption

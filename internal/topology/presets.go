@@ -97,9 +97,20 @@ func Preset(name string) (*Topology, bool) {
 	return nil, false
 }
 
+// The largest shape Parse accepts. Every front door (CLI, library, sweep
+// service) names machines through Parse, and a shape's cost grows with it:
+// Ring allocates two sockets x sockets matrices, and every core becomes a
+// simulated worker with its own deque. The caps leave room above the
+// largest machine the repo studies, the 96x2 ring (192 cores).
+const (
+	MaxShapeSockets = 128
+	MaxShapeCores   = 256
+)
+
 // Parse resolves a topology spec: a preset name (see Presets) or a generic
 // "SxC" shape — S sockets of C cores on a ring interconnect, e.g. "2x4" or
-// "16x8". Unknown specs return an error naming the accepted forms, so
+// "16x8" — of at most MaxShapeSockets sockets and MaxShapeCores cores in
+// total. Unknown specs return an error naming the accepted forms, so
 // callers can surface it as a usage error instead of silently defaulting.
 func Parse(spec string) (*Topology, error) {
 	if t, ok := Preset(spec); ok {
@@ -110,6 +121,10 @@ func Parse(spec string) (*Topology, error) {
 		spec == fmt.Sprintf("%dx%d", sockets, cores) {
 		if sockets <= 0 || cores <= 0 {
 			return nil, fmt.Errorf("topology: shape %q must have positive sockets and cores", spec)
+		}
+		if sockets > MaxShapeSockets || cores > MaxShapeCores/sockets {
+			return nil, fmt.Errorf("topology: shape %q exceeds the limit of %d sockets and %d cores",
+				spec, MaxShapeSockets, MaxShapeCores)
 		}
 		return Ring(sockets, cores), nil
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,31 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		} else if !strings.Contains(err.Error(), "paper-4x8") && !strings.Contains(err.Error(), "positive") {
 			t.Errorf("Parse(%q) error %q does not name the accepted forms", bad, err)
+		}
+	}
+}
+
+// TestParseBoundsShapes: a shape string costs a few bytes to send but its
+// machine grows with it — Ring allocates sockets x sockets matrices and
+// every core becomes a simulated worker. Parse rejects shapes past the
+// caps without building them, and still accepts the largest shape the repo
+// studies (the 96x2 ring) and the caps themselves.
+func TestParseBoundsShapes(t *testing.T) {
+	for _, spec := range []string{"96x2", "128x2", "1x256", "8x16"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"100000x1", "1x100000000", "129x1", "1x257", "97x3", "4096x4096"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(spec)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("Parse(%q) error %v, want the shape limit", spec, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("rejecting %q allocated %d bytes", spec, got)
 		}
 	}
 }

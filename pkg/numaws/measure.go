@@ -32,26 +32,18 @@ func facadeErr(err error) error {
 
 // spec resolves one benchmark name against the session's suite.
 func (s *Session) spec(bench string) (harness.Spec, error) {
-	for _, sp := range s.specs {
-		if sp.Name == bench {
-			return sp, nil
-		}
+	sp, err := s.subset([]string{bench})
+	if err != nil {
+		return harness.Spec{}, err
 	}
-	names := make([]string, len(s.specs))
-	for i, sp := range s.specs {
-		names[i] = sp.Name
-	}
-	return harness.Spec{}, fmt.Errorf("numaws: no benchmark named %q in this session (have %v)", bench, names)
+	return sp[0], nil
 }
 
-// subset resolves an optional benchmark-name filter: no names means the
-// session's whole suite. Explicit names follow the same rules as
-// WithBenchmarks (selectSpecs): unknown and duplicate names are errors.
+// subset resolves an optional benchmark-name filter against the session's
+// suite with harness.SelectSpecs, the rule WithBenchmarks follows: no
+// names means the whole suite; unknown and duplicate names are errors.
 func (s *Session) subset(benches []string) ([]harness.Spec, error) {
-	if len(benches) == 0 {
-		return s.specs, nil
-	}
-	out, err := selectSpecs(s.specs, benches)
+	out, err := harness.SelectSpecs(s.specs, benches)
 	if err != nil {
 		return nil, fmt.Errorf("numaws: %w", err)
 	}

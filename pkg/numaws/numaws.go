@@ -30,7 +30,6 @@ package numaws
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -144,13 +143,10 @@ func WithScale(s Scale) Option {
 
 // WithWorkers sets the simulated worker count P of parallel runs and the
 // TP column of the tables. 0 (the default) means the whole machine — every
-// core of the selected topology. New rejects counts the machine cannot
-// place.
+// core of the selected topology. New rejects negative counts and counts
+// the machine cannot place.
 func WithWorkers(p int) Option {
 	return option(func(c *config) error {
-		if p < 0 {
-			return fmt.Errorf("WithWorkers: negative worker count %d", p)
-		}
 		c.workers = p
 		return nil
 	})
@@ -162,8 +158,8 @@ func WithWorkers(p int) Option {
 // engine, so New rejects it rather than silently remapping.
 func WithSeed(seed int64) Option {
 	return option(func(c *config) error {
-		if seed == 0 {
-			return fmt.Errorf("WithSeed: seed must be non-zero (the default seed is 1)")
+		if err := harness.CheckSeed(seed); err != nil {
+			return fmt.Errorf("WithSeed: %w", err)
 		}
 		c.seed = seed
 		return nil
@@ -337,30 +333,22 @@ func New(opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("numaws: %w", err)
 		}
 	}
-	top, err := topology.Parse(c.topology)
+	machines, err := harness.Machines([]string{c.topology})
 	if err != nil {
 		return nil, fmt.Errorf("numaws: %w", err)
 	}
-	pol, err := sched.Lookup(c.policy)
+	pols, err := harness.Policies([]string{c.policy})
 	if err != nil {
 		return nil, fmt.Errorf("numaws: %w", err)
 	}
-	if c.workers == 0 {
-		c.workers = top.Cores()
+	if c.workers, err = harness.Workers(c.workers, machines[0]); err != nil {
+		return nil, fmt.Errorf("numaws: %w", err)
 	}
-	if c.workers > top.Cores() {
-		return nil, fmt.Errorf("numaws: %d workers out of range [1,%d] for topology %s",
-			c.workers, top.Cores(), c.topology)
+	specs, err := harness.SelectSpecs(harness.Specs(engineScale(c.scale)), c.benches)
+	if err != nil {
+		return nil, fmt.Errorf("numaws: %w", err)
 	}
-	all := harness.Specs(engineScale(c.scale))
-	specs := all
-	if len(c.benches) > 0 {
-		specs, err = selectSpecs(all, c.benches)
-		if err != nil {
-			return nil, fmt.Errorf("numaws: %w", err)
-		}
-	}
-	s := &Session{top: top, policy: pol, specs: specs, cfg: c}
+	s := &Session{top: machines[0].Top, policy: pols[0], specs: specs, cfg: c}
 	if c.resume && c.journal == "" {
 		return nil, fmt.Errorf("numaws: WithResume requires WithJournal")
 	}
@@ -390,31 +378,6 @@ func (s *Session) Close() error { return s.jw.Close() }
 // Both are zero for sessions built without WithResume.
 func (s *Session) ReplayStats() (replayed, skipped int) {
 	return s.rstats.Records, s.rstats.Skipped
-}
-
-// selectSpecs resolves benchmark names against the suite, preserving the
-// requested order and rejecting unknown or duplicate names.
-func selectSpecs(all []harness.Spec, names []string) ([]harness.Spec, error) {
-	byName := make(map[string]harness.Spec, len(all))
-	known := make([]string, 0, len(all))
-	for _, s := range all {
-		byName[s.Name] = s
-		known = append(known, s.Name)
-	}
-	seen := make(map[string]bool, len(names))
-	out := make([]harness.Spec, 0, len(names))
-	for _, n := range names {
-		s, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("no benchmark named %q (want %s)", n, strings.Join(known, ", "))
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("benchmark %q named twice", n)
-		}
-		seen[n] = true
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // options assembles the harness options for one measurement call.
