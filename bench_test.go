@@ -75,9 +75,20 @@ func BenchmarkCilkSuite(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(rep.Time), "T32-cycles")
+				reportOps(b, rep.Sched)
 			})
 		}
 	}
+}
+
+// reportOps attaches a run's machine-independent engine operation counts;
+// benchgate matches every -ops metric exactly, like the -cycles ones, so a
+// change to the host-side handoff or engine bookkeeping that alters the
+// work the engine does fails the gate on any host.
+func reportOps(b *testing.B, s *sched.Stats) {
+	b.ReportMetric(float64(s.Events), "events-ops")
+	b.ReportMetric(float64(s.Steals), "steals-ops")
+	b.ReportMetric(float64(s.Spawns), "spawns-ops")
 }
 
 // policyNames are the policies that exercise the widened hook contract
@@ -107,6 +118,7 @@ func BenchmarkPolicy(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rep.Time), "T32-cycles")
+			reportOps(b, rep.Sched)
 		})
 	}
 }

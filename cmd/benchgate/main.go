@@ -4,9 +4,10 @@
 // simulator promises to hold constant:
 //
 //   - every metric whose unit ends in "-cycles" is a simulated-cycle count
-//     (TS, TP, work, span, ...). The simulator is deterministic, so these
-//     must match the reference exactly — any difference is a semantic
-//     change, not noise.
+//     (TS, TP, work, span, ...), and every one ending in "-ops" is a
+//     simulated operation count (engine events, steals, spawns, ...). The
+//     simulator is deterministic, so these must match the reference
+//     exactly — any difference is a semantic change, not noise.
 //   - allocs/op may not exceed the reference by more than the slack factor
 //     (default 1.25x, absorbing host and GOMAXPROCS variation in the
 //     parallel harness paths).
@@ -66,7 +67,7 @@ func main() {
 			len(failures), len(refRuns))
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: OK — %d benchmarks, all simulated-cycle metrics exact, allocs/op within %.2fx\n",
+	fmt.Printf("benchgate: OK — %d benchmarks, all simulated-cycle and -ops metrics exact, allocs/op within %.2fx\n",
 		len(refRuns), *slack)
 }
 
@@ -157,13 +158,13 @@ func gate(ref, head map[string]metrics, slack float64) []string {
 		for _, u := range units {
 			rv := ref[n][u]
 			switch {
-			case strings.HasSuffix(u, "-cycles"):
+			case strings.HasSuffix(u, "-cycles") || strings.HasSuffix(u, "-ops"):
 				hv, ok := hm[u]
 				if !ok {
 					failures = append(failures, fmt.Sprintf("%s: metric %s missing from new run", n, u))
 				} else if hv != rv {
 					failures = append(failures, fmt.Sprintf(
-						"%s: %s drifted: reference %v, new %v (simulated cycles must match exactly)", n, u, rv, hv))
+						"%s: %s drifted: reference %v, new %v (simulated counts must match exactly)", n, u, rv, hv))
 				}
 			case u == "allocs/op":
 				hv, ok := hm[u]

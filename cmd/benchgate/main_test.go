@@ -57,7 +57,7 @@ func TestStripProcs(t *testing.T) {
 func TestGate(t *testing.T) {
 	ref := map[string]metrics{
 		"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 100, "ns/op": 5000},
-		"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+		"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 7000},
 	}
 	t.Run("identical passes", func(t *testing.T) {
 		if f := gate(ref, ref, 1.25); len(f) != 0 {
@@ -67,7 +67,7 @@ func TestGate(t *testing.T) {
 	t.Run("wall time ignored", func(t *testing.T) {
 		head := map[string]metrics{
 			"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 100, "ns/op": 99999999},
-			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 7000},
 		}
 		if f := gate(ref, head, 1.25); len(f) != 0 {
 			t.Fatalf("ns/op change should not gate: %v", f)
@@ -76,17 +76,37 @@ func TestGate(t *testing.T) {
 	t.Run("cycle drift fails", func(t *testing.T) {
 		head := map[string]metrics{
 			"BenchmarkA": {"T32-cycles": 1001, "allocs/op": 100},
-			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 7000},
 		}
 		f := gate(ref, head, 1.25)
 		if len(f) != 1 || !strings.Contains(f[0], "T32-cycles drifted") {
 			t.Fatalf("want one cycle-drift failure, got %v", f)
 		}
 	})
+	t.Run("op count drift fails", func(t *testing.T) {
+		head := map[string]metrics{
+			"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 100},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 6999},
+		}
+		f := gate(ref, head, 1.25)
+		if len(f) != 1 || !strings.Contains(f[0], "events-ops drifted") {
+			t.Fatalf("want one op-count drift failure, got %v", f)
+		}
+	})
+	t.Run("missing op count fails", func(t *testing.T) {
+		head := map[string]metrics{
+			"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 100},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+		}
+		f := gate(ref, head, 1.25)
+		if len(f) != 1 || !strings.Contains(f[0], "metric events-ops missing") {
+			t.Fatalf("want one missing-metric failure, got %v", f)
+		}
+	})
 	t.Run("alloc regression fails", func(t *testing.T) {
 		head := map[string]metrics{
 			"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 126},
-			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 7000},
 		}
 		f := gate(ref, head, 1.25)
 		if len(f) != 1 || !strings.Contains(f[0], "allocs/op regressed") {
@@ -96,7 +116,7 @@ func TestGate(t *testing.T) {
 	t.Run("alloc within slack passes", func(t *testing.T) {
 		head := map[string]metrics{
 			"BenchmarkA": {"T32-cycles": 1000, "allocs/op": 124},
-			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10},
+			"BenchmarkB": {"TP-cycles": 42, "allocs/op": 10, "events-ops": 7000},
 		}
 		if f := gate(ref, head, 1.25); len(f) != 0 {
 			t.Fatalf("unexpected failures: %v", f)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/cache"
 	"repro/internal/dag"
@@ -106,16 +107,11 @@ type Runtime struct {
 	engine *sched.Engine
 	arena  *Arena
 
-	// Task-goroutine pool for this run: strand execution hands off between
-	// the engine goroutine and one goroutine per live frame; finished
-	// frames' goroutines (and their channels) are reused for later frames
-	// instead of being respawned.
+	// Strand-coroutine pool for this run: strand execution switches
+	// between the engine and one coroutine per live frame; finished frames'
+	// coroutines are reused for later frames instead of being restarted.
 	units     []*unit
 	freeUnits []*unit
-	// poisoned is set by closeUnits before it wakes parked task
-	// goroutines, telling them to unwind instead of resuming; the
-	// channel close publishing the wake also publishes the flag.
-	poisoned bool
 
 	used bool
 }
@@ -178,8 +174,8 @@ func (rt *Runtime) Run(root Task) *Report {
 		rec = dag.Wrap(runner)
 		runner = rec
 	}
-	// Release the task-goroutine pool even if the run panics, so parked
-	// goroutines never outlive the Runtime.
+	// Release the strand-coroutine pool even if the run panics, so parked
+	// coroutines never outlive the Runtime.
 	defer rt.closeUnits()
 	rt.engine = sched.NewEngineIn(rt.arena.sched, rt.cfg.Sched, runner)
 	rootFrame := rt.engine.NewRootFrame(PlaceAny)
@@ -284,54 +280,45 @@ func (c *serialCtx) WriteStrided(r *memory.Region, off, stride, elem int64, coun
 // to keep the Resume method off Runtime's public surface.
 type simRunner Runtime
 
-// Resume implements sched.Runner by handing control to the frame's task
-// goroutine until its next scheduling event. Exactly one task goroutine runs
-// at a time (strict handoff), which keeps the simulation deterministic.
-// When the task returns, its goroutine and task record go back to the pools
-// for the next frame — the steady-state loop spawns no goroutines and
-// allocates no task state.
+// Resume implements sched.Runner by switching to the frame's coroutine
+// until its next scheduling event. Exactly one strand runs at a time
+// (strict handoff), which keeps the simulation deterministic. A fresh
+// task first gets a unit from the pool. When the task returns, its unit and
+// task record go back to the pools for the next frame — the steady-state
+// loop starts no coroutines and allocates no task state. A task panic
+// resurfaces from next, on the engine goroutine.
 func (r *simRunner) Resume(w int, f *sched.Frame) sched.Yield {
 	rt := (*Runtime)(r)
 	t := f.Data.(*simTask)
 	t.ctx.worker = w
 	t.ctx.core = rt.engine.CoreOf(w)
 	t.ctx.start = rt.engine.ClockOf(w)
-	if !t.started {
-		t.started = true
+	if t.u == nil {
 		t.u = rt.getUnit()
-		t.u.start <- t
-	} else {
-		t.u.resume <- struct{}{}
+		t.u.task = t
 	}
 	u := t.u
-	y := <-u.yield
-	if t.err != nil {
-		panic(fmt.Sprintf("core: task panicked: %v", t.err))
-	}
+	y, _ := u.next()
 	if y.Kind == sched.YieldReturn {
-		// The task is done: its final yield has been received and its
-		// goroutine is parked back at the unit loop. Nothing references
-		// either anymore (the engine recycles the frame when it applies
-		// this yield), so both are safe to hand to the next frame.
+		// The task is done: its unit is parked at the yield between tasks.
+		// Nothing references either anymore (the engine recycles the frame
+		// when it applies this yield), so both are safe to hand to the next
+		// frame.
+		u.task = nil
 		rt.freeUnits = append(rt.freeUnits, u)
 		rt.putTask(t)
 	}
 	return y
 }
 
-// unit is one pooled task goroutine with its handoff channels. The
-// goroutine runs tasks assigned over start until the channel closes at the
-// end of the run.
+// unit is one pooled strand coroutine. Its sequence runs the tasks it is
+// given back to back, yielding every scheduling event to the engine; next
+// resumes it and stop retires it.
 type unit struct {
-	start  chan *simTask
-	resume chan struct{}
-	yield  chan sched.Yield
-}
-
-func (u *unit) loop() {
-	for t := range u.start {
-		t.main()
-	}
+	next  func() (sched.Yield, bool)
+	stop  func()
+	yield func(sched.Yield) bool
+	task  *simTask
 }
 
 func (rt *Runtime) getUnit() *unit {
@@ -340,46 +327,63 @@ func (rt *Runtime) getUnit() *unit {
 		rt.freeUnits = rt.freeUnits[:n-1]
 		return u
 	}
-	u := &unit{
-		start:  make(chan *simTask),
-		resume: make(chan struct{}),
-		yield:  make(chan sched.Yield),
-	}
+	u := &unit{}
+	u.next, u.stop = iter.Pull(u.run)
 	rt.units = append(rt.units, u)
-	go u.loop()
 	return u
 }
 
-// closeUnits retires the run's pooled goroutines. Units parked in the free
-// pool exit their loop when their start channel closes. A unit still
-// blocked inside a task — possible when the run panicked or was
-// interrupted — is parked at its resume receive (strict handoff: the
-// engine held the only running strand, and it is unwinding here), so
-// closing resume wakes it; the poisoned flag, published by that close,
-// makes resumeWait unwind the task instead of resuming it, and the
-// goroutine exits through its closed loop. Nothing outlives the Runtime.
+// run is the unit's sequence: the assigned task's function, then an
+// implicit sync (every Cilk function syncs before returning), then a Return
+// yield, after which the engine has handed the unit its next task — or
+// stopped it.
+func (u *unit) run(yield func(sched.Yield) bool) {
+	u.yield = yield
+	defer func() {
+		//numaws:recover-ok unwind-only: swallows the unitUnwind a stopped unit raises so stop never replaces an in-flight panic; every other panic is re-raised
+		if p := recover(); p != nil {
+			if _, unwind := p.(unitUnwind); unwind {
+				return // torn-down Runtime: no engine is listening for a yield
+			}
+			panic(fmt.Sprintf("core: task panicked: %v", p))
+		}
+	}()
+	for {
+		t := u.task
+		t.fn(&t.ctx)
+		if t.ctx.spawned {
+			t.ctx.Sync()
+		}
+		if !yield(sched.Yield{Kind: sched.YieldReturn, Cost: t.ctx.cost}) {
+			return
+		}
+	}
+}
+
+// closeUnits retires the run's coroutines. A unit parked between tasks
+// sees its yield return false and leaves its loop. A unit still parked
+// inside a task — possible when the run panicked or was interrupted —
+// unwinds it through handoff's unitUnwind, which run swallows, so stop
+// returns without disturbing the engine's panic. A unit whose task panicked
+// has already finished. Nothing outlives the Runtime.
 func (rt *Runtime) closeUnits() {
-	rt.poisoned = true
 	for _, u := range rt.units {
-		close(u.start)
-		close(u.resume)
+		u.stop()
 	}
 	rt.units, rt.freeUnits = nil, nil
 }
 
-// unitUnwind is the panic value resumeWait raises on a poisoned Runtime;
-// simTask.main swallows it to retire the goroutine without yielding to an
+// unitUnwind is the panic value handoff raises when its unit is stopped;
+// unit.run swallows it to finish the coroutine without yielding to an
 // engine that no longer exists.
 type unitUnwind struct{}
 
-// simTask is the continuation state of one frame: a pooled goroutine unit
-// that runs the user's Task and parks at every spawn/sync/return.
+// simTask is the continuation state of one frame: the user's Task, its
+// context, and the unit running it (nil until the frame first runs).
 type simTask struct {
-	fn      Task
-	ctx     simCtx
-	u       *unit
-	started bool
-	err     any
+	fn  Task
+	ctx simCtx
+	u   *unit
 }
 
 func newSimTask(rt *Runtime, f *sched.Frame, fn Task) *simTask {
@@ -404,26 +408,6 @@ func (rt *Runtime) getTask() *simTask {
 func (rt *Runtime) putTask(t *simTask) {
 	*t = simTask{}
 	rt.arena.tasks = append(rt.arena.tasks, t)
-}
-
-// main is the task goroutine body: run the user function, then an implicit
-// sync (every Cilk function syncs before returning), then yield Return.
-func (t *simTask) main() {
-	defer func() {
-		//numaws:recover-ok goroutine relay, not containment: the panic is re-raised on the engine goroutine by simRunner.Resume
-		if p := recover(); p != nil {
-			if _, unwind := p.(unitUnwind); unwind {
-				return // torn-down Runtime: no engine is listening for a yield
-			}
-			t.err = p
-			t.u.yield <- sched.Yield{Kind: sched.YieldReturn, Cost: t.ctx.cost}
-		}
-	}()
-	t.fn(&t.ctx)
-	if t.ctx.spawned {
-		t.ctx.Sync()
-	}
-	t.u.yield <- sched.Yield{Kind: sched.YieldReturn, Cost: t.ctx.cost}
 }
 
 // simCtx implements Context on the simulated platform.
@@ -458,27 +442,12 @@ func (c *simCtx) spawnAt(place int, fn Task) {
 	child := c.rt.engine.NewFrame(c.frame, place)
 	child.Data = newSimTask(c.rt, child, fn)
 	c.spawned = true
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldSpawn, Cost: c.cost, Child: child}
-	c.cost = 0
-	c.resumeWait()
+	c.handoff(sched.Yield{Kind: sched.YieldSpawn, Cost: c.cost, Child: child})
 }
 
 func (c *simCtx) Sync() {
 	c.spawned = false
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldSync, Cost: c.cost}
-	c.cost = 0
-	c.resumeWait()
-}
-
-// resumeWait parks the task goroutine until the engine hands control
-// back. On a torn-down Runtime the wake comes from closeUnits closing the
-// channel instead; the poisoned flag distinguishes the two, and the
-// unwind panic retires the goroutine through main's recover.
-func (c *simCtx) resumeWait() {
-	<-c.task.u.resume
-	if c.rt.poisoned {
-		panic(unitUnwind{})
-	}
+	c.handoff(sched.Yield{Kind: sched.YieldSync, Cost: c.cost})
 }
 
 // Call runs t as a plain (non-spawn) Cilk function call: same worker, no
@@ -487,9 +456,17 @@ func (c *simCtx) resumeWait() {
 func (c *simCtx) Call(t Task) {
 	child := c.rt.engine.NewCalledFrame(c.frame, c.frame.Place)
 	child.Data = newSimTask(c.rt, child, t)
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldCall, Cost: c.cost, Child: child}
+	c.handoff(sched.Yield{Kind: sched.YieldCall, Cost: c.cost, Child: child})
+}
+
+// handoff ends the current strand with y and parks the coroutine until
+// the engine resumes it. On a torn-down Runtime the yield returns false
+// instead, and the unwind panic retires the coroutine through unit.run.
+func (c *simCtx) handoff(y sched.Yield) {
 	c.cost = 0
-	c.resumeWait()
+	if !c.task.u.yield(y) {
+		panic(unitUnwind{})
+	}
 }
 
 func (c *simCtx) Compute(n int64) { c.cost += n }

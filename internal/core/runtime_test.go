@@ -236,8 +236,11 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestTaskPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		p := recover()
+		if p == nil {
 			t.Error("task panic did not propagate to Run caller")
+		} else if p != "core: task panicked: boom" {
+			t.Errorf("panic value = %#v, want %q", p, "core: task panicked: boom")
 		}
 	}()
 	newRT(2, sched.Cilk, 1).Run(func(ctx Context) {

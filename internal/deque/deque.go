@@ -34,9 +34,8 @@ type Deque[T any] struct {
 const DefaultCapacity = 1 << 16
 
 // New returns an empty deque with the given capacity (DefaultCapacity if
-// capacity <= 0). Capacity is fixed: growing the backing array under a
-// concurrent thief read would be unsafe without extra indirection, and
-// spawn depth bounds usage.
+// capacity <= 0). PushTail never grows it; only the owner's explicit Grow
+// does.
 func New[T any](capacity int) *Deque[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -67,6 +66,31 @@ func (d *Deque[T]) PushTail(x T) {
 	}
 	d.tasks[t] = x
 	d.tail.Store(t + 1)
+}
+
+// Cap reports the deque's capacity: the most items it can hold before
+// PushTail panics.
+//
+//numaws:alloc-free
+func (d *Deque[T]) Cap() int { return len(d.tasks) }
+
+// Grow raises the capacity to n, keeping the items in order; an n no
+// larger than the capacity is a no-op. Owner-only, like PushTail: the new
+// backing array is swapped in under the lock, which every thief holds
+// while it touches the array, and the owner's lock-free PopTail runs on
+// the calling goroutine.
+func (d *Deque[T]) Grow(n int) {
+	d.lock.Lock()
+	defer d.lock.Unlock()
+	if n <= len(d.tasks) {
+		return
+	}
+	h, t := d.head.Load(), d.tail.Load()
+	tasks := make([]T, n)
+	copy(tasks, d.tasks[h:t])
+	d.tasks = tasks
+	d.head.Store(0)
+	d.tail.Store(t - h)
 }
 
 // PopTail removes and returns the item at the tail. Owner-only. The fast

@@ -104,6 +104,82 @@ func TestCapacityPanic(t *testing.T) {
 	d.PushTail(3)
 }
 
+func TestGrowKeepsItemsInOrder(t *testing.T) {
+	d := New[int](4)
+	for i := 0; i < 4; i++ {
+		d.PushTail(i)
+	}
+	d.StealHead() // the live items no longer start at index 0
+	d.Grow(2)     // smaller than the capacity: no-op
+	if d.Cap() != 4 {
+		t.Fatalf("Grow(2) changed the capacity to %d", d.Cap())
+	}
+	d.Grow(16)
+	if d.Cap() != 16 || d.Len() != 3 {
+		t.Fatalf("after Grow(16): Cap %d Len %d, want 16 and 3", d.Cap(), d.Len())
+	}
+	for i := 4; i < 16; i++ {
+		d.PushTail(i)
+	}
+	if v, ok := d.StealHead(); !ok || v != 1 {
+		t.Errorf("StealHead() = (%d, %v), want the oldest item 1", v, ok)
+	}
+	if v, ok := d.PopTail(); !ok || v != 15 {
+		t.Errorf("PopTail() = (%d, %v), want the newest item 15", v, ok)
+	}
+}
+
+// TestConcurrentGrowNoDuplicates grows the deque on the owner's side while
+// thieves steal: every item is still taken exactly once.
+func TestConcurrentGrowNoDuplicates(t *testing.T) {
+	const items = 5000
+	d := New[int](2)
+	seen := make([]atomic.Int32, items)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if v, ok := d.StealHead(); ok {
+					seen[v].Add(1)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < items; i++ {
+		if d.Len() == d.Cap() {
+			d.Grow(2 * d.Cap())
+		}
+		d.PushTail(i)
+		if i%3 == 0 {
+			if v, ok := d.PopTail(); ok {
+				seen[v].Add(1)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	for {
+		v, ok := d.StealHead()
+		if !ok {
+			break
+		}
+		seen[v].Add(1)
+	}
+	for i := range seen {
+		if n := seen[i].Load(); n != 1 {
+			t.Fatalf("item %d consumed %d times, want exactly once", i, n)
+		}
+	}
+}
+
 func TestZeroCapacityGetsDefault(t *testing.T) {
 	d := New[int](0)
 	for i := 0; i < 100; i++ {

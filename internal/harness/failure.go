@@ -6,7 +6,8 @@ package harness
 // mismatch — and none of them may take the grid down with it. This file
 // defines the taxonomy (RunError / FailKind), the single designated
 // recovery boundary (contain — the only recover() in the module outside
-// goroutine relays, enforced by numaws-vet's panicsafe analyzer), and the
+// the waived pass-through sites that re-raise what they catch, enforced by
+// numaws-vet's panicsafe analyzer), and the
 // deterministic retry loop (attemptRun) that re-runs transient failures
 // and refuses to re-run deterministic ones.
 //

@@ -7,7 +7,7 @@ import (
 )
 
 // Arena owns the allocation-heavy engine state that survives from one run
-// to the next: the worker set (each worker carries a 64K-entry deque), the
+// to the next: the worker set (each worker carries its THE deque), the
 // per-thief victim pickers, the per-socket push-candidate lists, the event
 // queue's backing array, and a Frame free list. harness.Measure* repeats
 // thousands of (spec, policy, P, seed) runs on identical machine shapes;
@@ -28,6 +28,10 @@ type Arena struct {
 	workers  []*worker
 	onSocket [][]int // per-socket worker ids (push candidates)
 	key      arenaKey
+	// spare holds empty deques salvaged when build shrank the worker set,
+	// so a later build that grows it again reuses them, with whatever
+	// capacity they grew to, instead of allocating new ones.
+	spare []*deque.Deque[*Frame]
 	// pickersDirty marks the cached pickers as diverged from the key's
 	// weight table: an Adaptive policy rebuilt them mid-run. The next
 	// reuse reconstructs them from the base weights so a following run
@@ -44,6 +48,12 @@ type Arena struct {
 	free   []*Frame
 	blocks [][]Frame
 }
+
+// initialDequeCapacity is a new deque's capacity. Deque depth is spawn
+// depth, tens of frames for the divide-and-conquer benchmarks, so most
+// deques never grow; onSpawn doubles a full one up to
+// deque.DefaultCapacity, where PushTail panics as it always has.
+const initialDequeCapacity = 64
 
 // arenaKey captures every input of worker/picker/candidate construction.
 // Topology is compared by pointer: the harness resolves one *Topology per
@@ -105,8 +115,9 @@ func (a *Arena) workersFor(c *Config, needBias bool) []*worker {
 }
 
 // build constructs workers, pickers and push-candidate lists for shape c
-// and records the shape key. The old workers' deques — by far the largest
-// engine allocation, 64K entries each — are salvaged for the new set.
+// and records the shape key. The old workers' empty deques are salvaged
+// for the new set, and the ones it does not need are parked on the spare
+// list.
 func (a *Arena) build(c *Config, needBias bool) {
 	old := a.workers
 	a.workers = make([]*worker, c.Workers)
@@ -116,10 +127,15 @@ func (a *Arena) build(c *Config, needBias bool) {
 			core:   c.Placement.Core[i],
 			socket: c.Placement.Socket[i],
 		}
-		if i < len(old) && old[i].deque.Empty() {
+		switch {
+		case i < len(old) && old[i].deque.Empty():
 			w.deque = old[i].deque
-		} else {
-			w.deque = deque.New[*Frame](0)
+		case len(a.spare) > 0:
+			w.deque = a.spare[len(a.spare)-1]
+			a.spare[len(a.spare)-1] = nil
+			a.spare = a.spare[:len(a.spare)-1]
+		default:
+			w.deque = deque.New[*Frame](initialDequeCapacity)
 		}
 		if i < len(old) && cap(old[i].mailbox) >= c.MailboxCapacity {
 			w.mailbox = old[i].mailbox[:0:c.MailboxCapacity]
@@ -127,6 +143,11 @@ func (a *Arena) build(c *Config, needBias bool) {
 			w.mailbox = make([]*Frame, 0, c.MailboxCapacity)
 		}
 		a.workers[i] = w
+	}
+	for i := c.Workers; i < len(old); i++ {
+		if old[i].deque.Empty() {
+			a.spare = append(a.spare, old[i].deque)
+		}
 	}
 	if needBias && c.Workers > 1 {
 		a.buildPickers(c)

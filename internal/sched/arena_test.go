@@ -3,6 +3,8 @@ package sched
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/deque"
 )
 
 // TestArenaReuseMatchesFreshEngines pins the arena's compatibility
@@ -86,5 +88,58 @@ func TestEngineFrameConstructorsMatchPackageOnes(t *testing.T) {
 	c := e.NewCalledFrame(parent, 2)
 	if c.Parent != parent || c.Place != 2 || !c.Called() || !c.pooled {
 		t.Errorf("NewCalledFrame: %+v", c)
+	}
+}
+
+// TestArenaKeepsSurplusDeques: shrinking the worker set parks the deques it
+// no longer needs, and growing it again takes them back instead of
+// allocating new ones.
+func TestArenaKeepsSurplusDeques(t *testing.T) {
+	arena := NewArena()
+	run := func(p int) map[*deque.Deque[*Frame]]bool {
+		e := NewEngineIn(arena, testConfig(p, Cilk), &treeRunner{fanout: 2, depth: 4, leafCost: 100, innerCost: 5})
+		e.Run(e.NewRootFrame(PlaceAny))
+		ds := make(map[*deque.Deque[*Frame]]bool, p)
+		for _, w := range arena.workers {
+			ds[w.deque] = true
+		}
+		return ds
+	}
+	first := run(32)
+	run(8)
+	if len(arena.spare) != 24 {
+		t.Fatalf("after shrinking 32 -> 8 workers the arena keeps %d spare deques, want 24", len(arena.spare))
+	}
+	again := run(32)
+	if len(arena.spare) != 0 {
+		t.Errorf("after growing back to 32 workers %d deques are still spare", len(arena.spare))
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Error("growing back to 32 workers allocated new deques instead of reusing the salvaged ones")
+	}
+}
+
+// TestDequeCapacityDoesNotChangeRuns: a spawn chain deeper than a new
+// deque's capacity grows the deque, and the run is the one a deque sized
+// to deque.DefaultCapacity from the start gives.
+func TestDequeCapacityDoesNotChangeRuns(t *testing.T) {
+	const depth = 4 * initialDequeCapacity
+	chain := func() *treeRunner { return &treeRunner{fanout: 1, depth: depth, leafCost: 50, innerCost: 3} }
+	run := func(a *Arena) (Stats, int) {
+		e := NewEngineIn(a, testConfig(4, NUMAWS), chain())
+		st := *e.Run(e.NewRootFrame(PlaceAny))
+		return st, a.workers[0].deque.Cap()
+	}
+	grown, capacity := run(NewArena())
+	if capacity <= initialDequeCapacity {
+		t.Fatalf("a %d-deep spawn chain left worker 0's deque at capacity %d", depth, capacity)
+	}
+	big := NewArena()
+	run(big) // builds the worker set
+	for _, w := range big.workers {
+		w.deque.Grow(deque.DefaultCapacity)
+	}
+	if full, _ := run(big); !reflect.DeepEqual(grown, full) {
+		t.Errorf("growing deques changed the run:\ngrown: %+v\nfull:  %+v", grown, full)
 	}
 }

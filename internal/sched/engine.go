@@ -201,7 +201,7 @@ type Stats struct {
 	Makespan  int64 // T_P: virtual time when the root returned
 	PerWorker []WorkerStats
 
-	Steals         int64 // successful deque steals
+	Steals         int64 // frames taken by successful deque steals (a bulk steal counts each)
 	StealAttempts  int64 // all steal attempts, successful or not
 	FailedSteals   int64
 	Promotions     int64 // shadow-to-full promotions
@@ -220,9 +220,9 @@ type Stats struct {
 	RemoteResumes int64
 	// LocalResumes counts placed frames resumed on their designated socket.
 	LocalResumes int64
-	// StealsByHop[h] counts successful deque steals whose victim sat h hops
-	// from the thief — the per-hop-class remote-access profile adaptive
-	// policies observe.
+	// StealsByHop[h] counts the Steals whose victim sat h hops from the
+	// thief — the per-hop-class remote-access profile adaptive policies
+	// observe.
 	StealsByHop []int64
 	// BulkSteals counts frames acquired beyond the first by StealHalf
 	// transfers (bulk-stealing policies only).
@@ -265,12 +265,16 @@ type worker struct {
 	// for the ablation study.
 	mailbox []*Frame
 
-	clock   int64
-	run     *Frame // frame to execute at the next event, if any
-	pending *Yield // a finished strand's event, to apply at its end time
-	next    nextAction
-	check   *Frame // parent to CHECKPARENT, if next == actionCheckParent
-	stats   WorkerStats
+	clock int64
+	run   *Frame // frame to execute at the next event, if any
+	// pending is a finished strand's event, to apply at its end time; it
+	// is held by value (hasPending marks it live) so a strand allocates
+	// nothing here.
+	pending    Yield
+	hasPending bool
+	next       nextAction
+	check      *Frame // parent to CHECKPARENT, if next == actionCheckParent
+	stats      WorkerStats
 	// picker draws this thief's victim under the biased policy; built once
 	// at construction from the per-hop-class weight table (nil when the
 	// run's policy never draws biased victims) and rebuilt at adaptation
@@ -302,7 +306,7 @@ func (w *worker) reset() {
 	w.streak = 0
 	w.clock = 0
 	w.run = nil
-	w.pending = nil
+	w.pending, w.hasPending = Yield{}, false
 	w.next = actionSteal
 	w.check = nil
 	w.stats = WorkerStats{}
@@ -466,9 +470,9 @@ func (e *Engine) Run(root *Frame) *Stats {
 			w.clock = at
 		}
 		switch {
-		case w.pending != nil:
-			y := *w.pending
-			w.pending = nil
+		case w.hasPending:
+			y := w.pending
+			w.pending, w.hasPending = Yield{}, false
 			e.apply(w, y)
 		case w.run != nil:
 			e.execute(w)
@@ -479,6 +483,7 @@ func (e *Engine) Run(root *Frame) *Stats {
 			e.q.Push(w.clock, w.id)
 		}
 	}
+	e.checkDrained()
 	e.stats.Makespan = e.finish
 	e.stats.PerWorker = make([]WorkerStats, len(e.workers))
 	for i, w := range e.workers {
@@ -491,6 +496,19 @@ func (e *Engine) Run(root *Frame) *Stats {
 		e.stats.PerWorker[i] = st
 	}
 	return &e.stats
+}
+
+// checkDrained asserts the exit state of every completed run: the root
+// returns only after all of its descendants have, so no worker may still
+// park a frame in its deque, mailbox or bulk-steal reserve. A violation is
+// an engine defect, never a workload error.
+func (e *Engine) checkDrained() {
+	for _, w := range e.workers {
+		if !w.deque.Empty() || !w.mailboxEmpty() || len(w.reserve) != 0 {
+			panic(fmt.Sprintf("sched: worker %d ended the run with %d deque, %d mailbox and %d reserve frames parked",
+				w.id, w.deque.Len(), len(w.mailbox), len(w.reserve)))
+		}
+	}
 }
 
 // execute advances w's assigned frame by one strand. The resulting
@@ -506,7 +524,7 @@ func (e *Engine) execute(w *worker) {
 	y := e.runner.Resume(w.id, f)
 	w.clock += y.Cost
 	w.stats.Work += y.Cost
-	w.pending = &y
+	w.pending, w.hasPending = y, true
 	if e.cfg.Tracer != nil && w.clock > start {
 		e.cfg.Tracer.Span(w.id, start, w.clock, TraceWork)
 	}
@@ -574,6 +592,9 @@ func (e *Engine) onSpawn(w *worker, parent, child *Frame) {
 		child.full = false // fall back to the normal spawn path below
 	}
 
+	if d := w.deque; d.Len() == d.Cap() && d.Cap() < deque.DefaultCapacity {
+		d.Grow(min(2*d.Cap(), deque.DefaultCapacity))
+	}
 	w.deque.PushTail(parent)
 	w.run = child
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -405,5 +406,31 @@ func TestFrameString(t *testing.T) {
 	f.promote()
 	if f.Children() != 3 {
 		t.Errorf("re-promotion reset children to %d, want 3", f.Children())
+	}
+}
+
+// TestCheckDrainedNamesParkedFrames: checkDrained, the exit check every
+// Run makes, names a worker that still parks a frame in its deque, mailbox
+// or reserve.
+func TestCheckDrainedNamesParkedFrames(t *testing.T) {
+	for _, park := range []struct {
+		name string
+		put  func(w *worker)
+	}{
+		{"deque", func(w *worker) { w.deque.PushTail(NewFrame(nil, PlaceAny)) }},
+		{"mailbox", func(w *worker) { w.mailbox = append(w.mailbox, NewFrame(nil, PlaceAny)) }},
+		{"reserve", func(w *worker) { w.reserve = append(w.reserve, NewFrame(nil, PlaceAny)) }},
+	} {
+		t.Run(park.name, func(t *testing.T) {
+			e := NewEngine(testConfig(4, NUMAWS), &treeRunner{fanout: 2, depth: 3, leafCost: 100, innerCost: 10})
+			e.Run(NewRootFrame(PlaceAny))
+			park.put(e.workers[2])
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "worker 2 ended the run") {
+					t.Errorf("checkDrained panicked with %v, want a report naming worker 2", p)
+				}
+			}()
+			e.checkDrained()
+		})
 	}
 }
